@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import compression as comp
 from . import data as dat
 from . import federation as fed
 from . import metrics as met
@@ -214,6 +215,17 @@ def _save_models(result: fed.RunResult, outdir):
     np.savez(os.path.join(outdir, "heads.npz"), **heads)
 
 
+def _check_client_ids(partition, mode, quantized):
+    """A quantized pfl upload carries its client id in one byte (QUP1), so
+    refuse such a run on a larger partition before it trains."""
+    limit = comp.MAX_CLIENT_ID + 1
+    if len(partition.clients) > limit and mode == "pfl" and quantized:
+        raise UsageError(
+            f"{len(partition.clients)} clients, but a quantized pfl upload "
+            f"identifies at most {limit} (one-byte client id); use a "
+            f"smaller client grid, --mode fedavg or --ablate no-quantization")
+
+
 def _run_and_export(partition, cfg, outdir, scenario):
     os.makedirs(outdir, exist_ok=True)
     result = fed.run_training(partition, cfg)
@@ -233,6 +245,7 @@ def cmd_train(args) -> int:
     if not args.partition or not args.out:
         raise UsageError("train requires --partition and -o")
     partition = dat.load_partition(args.partition)
+    _check_client_ids(partition, cfg.mode, cfg.quantization)
     result = _run_and_export(partition, cfg, args.out, partition.scenario)
     final = result.final.bundle
     print(f"mode={cfg.mode} scenario={partition.scenario} "
@@ -257,6 +270,7 @@ def cmd_sweep(args) -> int:
     if not rhos or not periods or not quants:
         raise UsageError("empty sweep grid")
     partition = dat.load_partition(args.partition)
+    _check_client_ids(partition, cfg0.mode, any(quants))
     os.makedirs(args.out, exist_ok=True)
     points = []
     for rho in rhos:

@@ -61,15 +61,35 @@ def accumulate(delta: np.ndarray, residual: np.ndarray) -> np.ndarray:
 
 
 def top_k(u: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries (ties: lower index wins), zero the rest."""
+    """Keep the k largest-magnitude entries (ties: lower index wins), zero the rest.
+
+    Exact zeros are never kept; NaN ranks below every magnitude.  Selection
+    costs O(n): a partition finds the k-th largest magnitude, everything
+    above it is kept and the remaining places go to the entries equal to it,
+    lowest index first -- the same set a stable sort by -|u| would pick.
+    """
     if not 0 <= k <= u.size:
         raise ParameterError(f"k={k} out of range for length {u.size}")
-    order = np.argsort(-np.abs(u), kind="stable")
-    keep = order[:k]
-    keep = keep[u[keep] != 0.0]
     out = np.zeros_like(u)
+    if k == 0:
+        return out
+    mag = _magnitudes(u)
+    mag.partition(u.size - k)  # in place: np.partition would copy
+    kth = mag[u.size - k]
+    mag = _magnitudes(u, out=mag)
+    above = np.flatnonzero(mag > kth)
+    ties = np.flatnonzero(mag == kth)[:k - above.size]
+    keep = np.concatenate([above, ties])
+    keep = keep[u[keep] != 0.0]
     out[keep] = u[keep]
     return out
+
+
+def _magnitudes(u, out=None):
+    """|u| with NaN mapped to -1, below every magnitude."""
+    mag = np.abs(u, out=out)
+    mag[np.isnan(mag)] = -1.0
+    return mag
 
 
 def residual_update(u: np.ndarray, sparse: np.ndarray) -> np.ndarray:

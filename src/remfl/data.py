@@ -506,39 +506,59 @@ def export_partition(partition: ScenarioPartition, outdir):
         _write_kv(os.path.join(cdir, "stats.txt"), stats)
 
 
+def _field(kv, key, cast, path):
+    """One metadata value; a missing key or a malformed value is an
+    IngestionError naming the file and the key."""
+    if key not in kv:
+        raise IngestionError(f"{path}: missing key {key!r}")
+    try:
+        return cast(kv[key])
+    except ValueError:
+        raise IngestionError(
+            f"{path}: bad value {kv[key]!r} for key {key!r}") from None
+
+
 def load_partition(indir) -> ScenarioPartition:
     meta_path = os.path.join(indir, "partition.txt")
     if not os.path.exists(meta_path):
         raise IngestionError(f"no partition.txt under {indir}")
     meta = _read_kv(meta_path)
-    n_bs = int(meta["bs"])
-    n_features = int(meta["features"])
-    n_clients = int(meta["clients"])
+    n_bs = _field(meta, "bs", int, meta_path)
+    n_features = _field(meta, "features", int, meta_path)
+    n_clients = _field(meta, "clients", int, meta_path)
     clients = []
     for k in range(n_clients):
         cdir = os.path.join(indir, f"client_{k:03d}")
-        stats = _read_kv(os.path.join(cdir, "stats.txt"))
+        stats_path = os.path.join(cdir, "stats.txt")
+        stats = _read_kv(stats_path)
+
+        def num(key):
+            return _field(stats, key, float, stats_path)
+
         rc_tr, x_tr, y_tr = _read_samples_csv(
             os.path.join(cdir, "train.csv"), n_features, n_bs)
         rc_te, x_te, y_te = _read_samples_csv(
             os.path.join(cdir, "test.csv"), n_features, n_bs)
         if "label_mean" in stats:
-            mu = np.asarray(float(stats["label_mean"]))
-            sd = np.asarray(float(stats["label_std"]))
+            mu = np.asarray(num("label_mean"))
+            sd = np.asarray(num("label_std"))
         else:
-            mu = np.array([float(stats[f"label_mean_{i+1}"]) for i in range(n_bs)])
-            sd = np.array([float(stats[f"label_std_{i+1}"]) for i in range(n_bs)])
+            mu = np.array([num(f"label_mean_{i+1}") for i in range(n_bs)])
+            sd = np.array([num(f"label_std_{i+1}") for i in range(n_bs)])
         clients.append(ClientDataset(
             client_id=k,
-            tile=(int(stats["tile_row"]), int(stats["tile_col"])),
+            tile=(_field(stats, "tile_row", int, stats_path),
+                  _field(stats, "tile_col", int, stats_path)),
             x_train=x_tr, y_train=y_tr, x_test=x_te, y_test=y_te,
             rc_train=rc_tr, rc_test=rc_te,
-            coord_min=np.array([float(stats["coord_min_row"]),
-                                float(stats["coord_min_col"])]),
-            coord_max=np.array([float(stats["coord_max_row"]),
-                                float(stats["coord_max_col"])]),
+            coord_min=np.array([num("coord_min_row"), num("coord_min_col")]),
+            coord_max=np.array([num("coord_max_row"), num("coord_max_col")]),
             label_mean=mu, label_std=sd))
     return ScenarioPartition(
-        meta["scenario"], clients, int(meta["rows"]), int(meta["cols"]),
-        int(meta["seed"]), float(meta["neighbor_mix"]),
-        float(meta["q33"]), float(meta["q66"]), n_bs, n_features)
+        _field(meta, "scenario", str, meta_path), clients,
+        _field(meta, "rows", int, meta_path),
+        _field(meta, "cols", int, meta_path),
+        _field(meta, "seed", int, meta_path),
+        _field(meta, "neighbor_mix", float, meta_path),
+        _field(meta, "q33", float, meta_path),
+        _field(meta, "q66", float, meta_path), n_bs, n_features)

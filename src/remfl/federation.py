@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class AggregationError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss during a client's local epochs."""
+    """Non-finite loss or parameters during a client's local epochs."""
 
 
 MODES = ("pfl", "fedavg")
@@ -104,6 +104,14 @@ class RoundEntry:
 
 @dataclass
 class ClientState:
+    """One client's model, optimizer and data.
+
+    ``params`` is the client's parameter store: one float64 vector holding
+    the backbone then the head in wire order, and ``backbone``/``head`` are
+    views of it.  Built from separate arrays (``params=None``), the state
+    copies them into a new store.
+    """
+
     client_id: int
     backbone: nn.BackboneParams
     head: nn.HeadParams
@@ -112,6 +120,12 @@ class ClientState:
     rng: np.random.Generator
     dataset: object
     ref: np.ndarray | None = None  # flat params at the last synchronization
+    params: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.params is None:
+            self.params, self.backbone, self.head = nn.pack(self.backbone,
+                                                            self.head)
 
 
 @dataclass
@@ -144,7 +158,12 @@ def aggregate(flat_global, updates, weights=None) -> np.ndarray:
             raise AggregationError(
                 f"update length {u.size} != model length {flat_global.size}")
     if weights is None:
-        mean = np.mean(np.stack(updates), axis=0)
+        # Row by row, then one division: the bits of np.mean over a stack,
+        # without the stack.
+        mean = updates[0].astype(np.result_type(*updates), copy=True)
+        for u in updates[1:]:
+            mean += u
+        mean /= len(updates)
     else:
         w = np.asarray(weights, dtype=float)
         mean = np.tensordot(w / w.sum(), np.stack(updates), axes=1)
@@ -163,24 +182,54 @@ def _model_dims(partition, cfg: RunConfig) -> nn.ModelDims:
 
 
 def _flatten_state(state: ClientState, include_head: bool) -> np.ndarray:
-    flat = nn.flatten_backbone(state.backbone)
+    """The uploaded part of the client's store, as a view: all of it, or the
+    backbone in front of the head."""
     if include_head:
-        flat = np.concatenate([flat, nn.flatten_head(state.head)])
-    return flat
+        return state.params
+    return state.params[:nn.n_params(state.backbone)]
 
 
-def _set_from_flat(state: ClientState, flat, dims, include_head: bool):
+def _client_states(partition, cfg: RunConfig, dims, start, residual_len):
+    """One state per client, each on its own store.  The backbone comes from
+    ``start``, and so does the head when ``start`` holds one; otherwise each
+    client draws its own personal head."""
     lb = nn.backbone_size(dims)
-    state.backbone = nn.unflatten_backbone(flat[:lb], dims)
-    if include_head:
-        state.head = nn.unflatten_head(flat[lb:], dims)
+    states = []
+    for ds in partition.clients:
+        p = np.empty(lb + nn.head_size(dims))
+        p[:lb] = start[:lb]
+        if start.size > lb:
+            p[lb:] = start[lb:]
+        else:
+            p[lb:] = nn.flatten_head(
+                nn.init_head(dims, _client_rng(cfg, 1000 + ds.client_id)))
+        states.append(ClientState(
+            client_id=ds.client_id,
+            backbone=nn.backbone_view(p[:lb], dims),
+            head=nn.head_view(p[lb:], dims),
+            residual=np.zeros(residual_len),
+            adam=nn.adam_init(p.size),
+            rng=_client_rng(cfg, ds.client_id),
+            dataset=ds,
+            params=p))
+    return states
 
 
-def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims):
-    """E epochs of seeded minibatch Adam on (backbone, head) with Huber loss."""
+def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
+                work=None):
+    """E epochs of seeded minibatch Adam on the client's store with Huber loss.
+
+    ``work`` is a (3, n) float64 scratch array shared by all clients of a
+    run: the flat gradient, then Adam's two work vectors.  One is allocated
+    when it is not given.  Raises
+    TrainingDiverged on a non-finite loss before a step, or on non-finite
+    parameters after the last one.
+    """
     x, y = state.dataset.x_train, state.dataset.y_train
     n = x.shape[0]
-    lb = nn.backbone_size(dims)
+    if work is None:
+        work = np.empty((3, state.params.size))
+    grad, scratch = work[0], work[1:]
     for _ in range(cfg.local_epochs):
         order = state.rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -194,21 +243,19 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims):
                 raise TrainingDiverged(
                     f"client {state.client_id}: non-finite loss")
             seed = nn.huber_grad(pred, yb, cfg.huber_delta)
-            bg, hg = nn.backward(state.backbone, state.head, bcache, hcache,
-                                 seed)
-            flat_p = np.concatenate([nn.flatten_backbone(state.backbone),
-                                     nn.flatten_head(state.head)])
-            flat_g = np.concatenate([nn.flatten_backbone(bg),
-                                     nn.flatten_head(hg)])
-            flat_p = nn.adam_step(state.adam, flat_p, flat_g, lr=cfg.lr)
-            state.backbone = nn.unflatten_backbone(flat_p[:lb], dims)
-            state.head = nn.unflatten_head(flat_p[lb:], dims)
+            nn.backward(state.backbone, state.head, bcache, hcache, seed,
+                        out=grad)
+            nn.adam_step(state.adam, state.params, grad, lr=cfg.lr,
+                         scratch=scratch)
+    if not np.isfinite(state.params).all():
+        raise TrainingDiverged(
+            f"client {state.client_id}: non-finite parameters after training")
 
 
 def evaluate(partition, backbone_flat, heads, dims, uplink_bytes=0):
     """Per-client test pass, denormalized to dB; heads may be per-client or
     a single shared head (broadcast to all clients)."""
-    backbone = nn.unflatten_backbone(backbone_flat, dims)
+    backbone = nn.backbone_view(backbone_flat, dims)
     residuals = []
     for i, ds in enumerate(partition.clients):
         head = heads[i] if len(heads) > 1 else heads[0]
@@ -253,26 +300,14 @@ def _run_pfl(partition, cfg: RunConfig) -> RunResult:
     k = upload_len if not cfg.topk else max(1, int(round(cfg.sparsity * upload_len)))
 
     global_flat = nn.flatten_backbone(nn.init_backbone(dims, rngs["backbone"]))
-    shared_head_flat = None
     if include_head:
-        shared_head_flat = nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))
-        global_flat = np.concatenate([global_flat, shared_head_flat])
+        global_flat = np.concatenate([
+            global_flat,
+            nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
     global_flat = _cast(global_flat, cfg)
 
-    states = []
-    for ds in partition.clients:
-        if include_head:
-            head = nn.unflatten_head(global_flat[lb:], dims)
-        else:
-            head = nn.init_head(dims, _client_rng(cfg, 1000 + ds.client_id))
-        states.append(ClientState(
-            client_id=ds.client_id,
-            backbone=nn.unflatten_backbone(global_flat[:lb], dims),
-            head=head,
-            residual=np.zeros(upload_len),
-            adam=nn.adam_init(lb + lh),
-            rng=_client_rng(cfg, ds.client_id),
-            dataset=ds))
+    states = _client_states(partition, cfg, dims, global_flat, upload_len)
+    work = np.empty((3, lb + lh))  # see local_train
 
     shadow = global_flat.copy()
     cum_bytes = 0
@@ -283,7 +318,7 @@ def _run_pfl(partition, cfg: RunConfig) -> RunResult:
     def snapshot(round_no, wall_ms):
         eval_flat = shadow if cfg.ema else global_flat
         if include_head:
-            heads = [nn.unflatten_head(eval_flat[lb:], dims)]
+            heads = [nn.head_view(eval_flat[lb:], dims)]
         else:
             heads = [st.head for st in states]
         b = evaluate(partition, eval_flat[:lb], heads, dims, cum_bytes)
@@ -300,10 +335,12 @@ def _run_pfl(partition, cfg: RunConfig) -> RunResult:
         for cid in participants:
             st = states[cid]
             if sync or cfg.resync_every_round:
-                _set_from_flat(st, global_flat, dims, include_head)
-                st.ref = global_flat.copy()
+                st.params[:upload_len] = global_flat
+                # No copy: aggregate returns a new global_flat, never
+                # writing the old one, so this keeps the synced values.
+                st.ref = global_flat
             try:
-                local_train(st, cfg, dims)
+                local_train(st, cfg, dims, work)
             except TrainingDiverged as exc:
                 log.warning("round %d: %s; client skipped", t, exc)
                 continue
@@ -333,8 +370,9 @@ def _run_pfl(partition, cfg: RunConfig) -> RunResult:
             else global_flat.copy()
         snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
 
-    heads = [st.head for st in states] if not include_head \
-        else [nn.unflatten_head(global_flat[lb:], dims)]
+    # Copies: a view would keep the client's whole store alive.
+    heads = [nn.unflatten_head(st.params[lb:], dims) for st in states] \
+        if not include_head else [nn.unflatten_head(global_flat[lb:], dims)]
     return RunResult(cfg, history, global_flat, heads, dims, upload_len, k)
 
 
@@ -351,21 +389,15 @@ def _run_fedavg(partition, cfg: RunConfig) -> RunResult:
         nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
     global_flat = _cast(global_flat, cfg)
 
-    states = [ClientState(
-        client_id=ds.client_id,
-        backbone=nn.unflatten_backbone(global_flat[:lb], dims),
-        head=nn.unflatten_head(global_flat[lb:], dims),
-        residual=np.zeros(0),
-        adam=nn.adam_init(l_full),
-        rng=_client_rng(cfg, ds.client_id),
-        dataset=ds) for ds in partition.clients]
+    states = _client_states(partition, cfg, dims, global_flat, 0)
+    work = np.empty((3, l_full))  # see local_train
 
     cum_bytes = 0
     n_payloads = 0
     history = []
 
     def snapshot(round_no, wall_ms):
-        heads = [nn.unflatten_head(global_flat[lb:], dims)]
+        heads = [nn.head_view(global_flat[lb:], dims)]
         b = evaluate(partition, global_flat[:lb], heads, dims, cum_bytes)
         history.append(RoundEntry(round_no, b, cum_bytes, n_payloads, 0,
                                   wall_ms))
@@ -378,10 +410,10 @@ def _run_fedavg(partition, cfg: RunConfig) -> RunResult:
         updates, weights = [], []
         for cid in participants:
             st = states[cid]
-            _set_from_flat(st, global_flat, dims, include_head=True)
-            st.ref = global_flat.copy()
+            st.params[:] = global_flat
+            st.ref = global_flat
             try:
-                local_train(st, cfg, dims)
+                local_train(st, cfg, dims, work)
             except TrainingDiverged as exc:
                 log.warning("round %d: %s; client skipped", t, exc)
                 continue

@@ -5,13 +5,19 @@ Everything is plain numpy in double precision: a three-layer MLP backbone
 activation) producing a latent vector, plus a per-client head that is either
 a single linear layer or a small two-layer MLP with inverted dropout.
 Gradients are hand-written reverse mode; the optimizer is Adam with bias
-correction operating on flattened parameter vectors.
+correction, updating a flat parameter vector and its moments in place.
+
+A model can live in one contiguous vector in the frozen wire order (see
+"Flat store" below): ``backbone_view``/``head_view`` give BackboneParams and
+HeadParams whose arrays are reshaped views of it, ``backward`` can write its
+gradients into a flat buffer the same way, and ``adam_step`` then updates the
+whole vector without a flatten or unflatten per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -59,14 +65,6 @@ class BackboneParams:
     gains: list
     shifts: list
 
-    def copy(self):
-        return BackboneParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [g.copy() for g in self.gains],
-            [s.copy() for s in self.shifts],
-        )
-
 
 @dataclass
 class HeadParams:
@@ -81,12 +79,6 @@ class HeadParams:
     b2: np.ndarray | None = None
     dropout: float = 0.0
 
-    def copy(self):
-        c = lambda a: None if a is None else a.copy()
-        return HeadParams(self.variant, c(self.w_out), c(self.b_out),
-                          c(self.w1), c(self.b1), c(self.w2), c(self.b2),
-                          self.dropout)
-
 
 def silu(x):
     """Elementwise x * sigmoid(x)."""
@@ -94,8 +86,9 @@ def silu(x):
     return x * expit(x)
 
 
-def silu_grad(x):
-    s = expit(x)
+def silu_grad(x, sig=None):
+    """d silu / dx; ``sig`` is expit(x) when the forward pass kept it."""
+    s = expit(x) if sig is None else sig
     return s * (1.0 + x * (1.0 - s))
 
 
@@ -150,7 +143,8 @@ def init_head(dims: ModelDims, rng: np.random.Generator) -> HeadParams:
 
 
 def backbone_forward(params: BackboneParams, x, training=False):
-    """Forward pass; returns (latent, cache) with cache keeping pre-activations.
+    """Forward pass; returns (latent, cache) with cache keeping pre-activations
+    and their sigmoids for the backward pass.
 
     Accepts a single sample (1-D) or a batch of rows (2-D).
     """
@@ -164,34 +158,38 @@ def backbone_forward(params: BackboneParams, x, training=False):
     cur = xb
     for w, b, g, s in zip(params.weights, params.biases, params.gains, params.shifts):
         a = cur @ w.T + b
-        h = silu(a)
+        sig = expit(a)
+        h = a * sig
         mu = h.mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(h.var(axis=-1, keepdims=True) + LN_EPS)
         y = (h - mu) * inv_std
         out = g * y + s
-        layers.append((cur, a, y, inv_std))
+        layers.append((cur, a, sig, y, inv_std))
         cur = out
     z = cur[0] if single else cur
     return z, {"layers": layers, "single": single}
 
 
-def backbone_backward(params: BackboneParams, cache, dz):
-    """Reverse pass through the backbone; returns (grads, dL/dx)."""
+def backbone_backward(params: BackboneParams, cache, dz, grads):
+    """Reverse pass through the backbone, writing its parameter gradients
+    into ``grads`` (a BackboneParams of float64 arrays) and returning it.
+
+    dL/dx of the input is never needed, so it is not computed.
+    """
     dout = np.atleast_2d(np.asarray(dz, dtype=float))
-    gw, gb, gg, gs = [], [], [], []
-    for (x_in, a, y, inv_std), w, g in zip(
-            reversed(cache["layers"]), reversed(params.weights), reversed(params.gains)):
-        gg.append((dout * y).sum(axis=0))
-        gs.append(dout.sum(axis=0))
-        dy = dout * g
+    for i in reversed(range(len(params.weights))):
+        x_in, a, sig, y, inv_std = cache["layers"][i]
+        np.sum(dout * y, axis=0, out=grads.gains[i])
+        np.sum(dout, axis=0, out=grads.shifts[i])
+        dy = dout * params.gains[i]
         dh = (dy - dy.mean(axis=-1, keepdims=True)
               - y * (dy * y).mean(axis=-1, keepdims=True)) * inv_std
-        da = dh * silu_grad(a)
-        gw.append(da.T @ x_in)
-        gb.append(da.sum(axis=0))
-        dout = da @ w
-    grads = BackboneParams(gw[::-1], gb[::-1], gg[::-1], gs[::-1])
-    return grads, dout
+        da = dh * silu_grad(a, sig)
+        np.matmul(da.T, x_in, out=grads.weights[i])
+        np.sum(da, axis=0, out=grads.biases[i])
+        if i > 0:
+            dout = da @ params.weights[i]
+    return grads
 
 
 def head_forward(params: HeadParams, z, training=False, rng=None):
@@ -216,37 +214,50 @@ def head_forward(params: HeadParams, z, training=False, rng=None):
             mask = (rng.random(zb.shape) < keep) / keep
             zd = zb * mask
         a1 = zd @ params.w1.T + params.b1
-        h1 = silu(a1)
+        s1 = expit(a1)
+        h1 = a1 * s1
         pred = h1 @ params.w2.T + params.b2
-        cache = {"zd": zd, "mask": mask, "a1": a1, "h1": h1, "single": single}
+        cache = {"zd": zd, "mask": mask, "a1": a1, "s1": s1, "h1": h1,
+                 "single": single}
     return (pred[0] if single else pred), cache
 
 
-def head_backward(params: HeadParams, cache, dpred):
-    """Returns (head grads, dL/dz)."""
+def head_backward(params: HeadParams, cache, dpred, grads):
+    """Writes the head's gradients into ``grads`` (a HeadParams of float64
+    arrays); returns (grads, dL/dz)."""
     dp = np.atleast_2d(np.asarray(dpred, dtype=float))
     if params.variant == "single":
-        grads = HeadParams("single", w_out=dp.T @ cache["z"], b_out=dp.sum(axis=0))
+        np.matmul(dp.T, cache["z"], out=grads.w_out)
+        np.sum(dp, axis=0, out=grads.b_out)
         return grads, dp @ params.w_out
     dh1 = dp @ params.w2
-    gw2 = dp.T @ cache["h1"]
-    gb2 = dp.sum(axis=0)
-    da1 = dh1 * silu_grad(cache["a1"])
-    gw1 = da1.T @ cache["zd"]
-    gb1 = da1.sum(axis=0)
+    np.matmul(dp.T, cache["h1"], out=grads.w2)
+    np.sum(dp, axis=0, out=grads.b2)
+    da1 = dh1 * silu_grad(cache["a1"], cache["s1"])
+    np.matmul(da1.T, cache["zd"], out=grads.w1)
+    np.sum(da1, axis=0, out=grads.b1)
     dz = da1 @ params.w1
     if cache["mask"] is not None:
         dz = dz * cache["mask"]
-    grads = HeadParams("two-layer", w1=gw1, b1=gb1, w2=gw2, b2=gb2,
-                       dropout=params.dropout)
     return grads, dz
 
 
-def backward(backbone: BackboneParams, head: HeadParams, bcache, hcache, dpred):
-    """Full reverse pass from a loss-gradient seed on the predictions."""
-    head_grads, dz = head_backward(head, hcache, dpred)
-    backbone_grads, _ = backbone_backward(backbone, bcache, dz)
-    return backbone_grads, head_grads
+def backward(backbone: BackboneParams, head: HeadParams, bcache, hcache, dpred,
+             out=None):
+    """Full reverse pass from a loss-gradient seed on the predictions.
+
+    Returns (backbone grads, head grads) as views of one flat float64
+    vector in wire order: ``out`` when given (the model's length), else a
+    new one.
+    """
+    if out is None:
+        out = np.empty(n_params(backbone) + n_params(head))
+    elif out.dtype != np.float64:
+        raise DimensionError("backward: gradient buffer must be float64")
+    gb, gh = _views_like(out, backbone, head)
+    _, dz = head_backward(head, hcache, dpred, gh)
+    backbone_backward(backbone, bcache, dz, gb)
+    return gb, gh
 
 
 def huber_loss(pred, target, delta=1.0):
@@ -272,8 +283,8 @@ def huber_grad(pred, target, delta=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Flattened views.  The canonical ordering is frozen because flat indices
-# cross the wire: per backbone layer W, b, gain, shift (row-major), layers in
+# Flat store.  The canonical ordering is frozen because flat indices cross
+# the wire: per backbone layer W, b, gain, shift (row-major), layers in
 # order; head appended (single: w_out, b_out; two-layer: w1, b1, w2, b2).
 # ---------------------------------------------------------------------------
 
@@ -290,6 +301,54 @@ def _head_arrays(p: HeadParams):
     return [p.w1, p.b1, p.w2, p.b2]
 
 
+def _as_backbone(arrays) -> BackboneParams:
+    return BackboneParams(arrays[0::4], arrays[1::4], arrays[2::4], arrays[3::4])
+
+
+def _as_head(variant, arrays, dropout=0.0) -> HeadParams:
+    if variant == "single":
+        return HeadParams("single", w_out=arrays[0], b_out=arrays[1])
+    return HeadParams("two-layer", w1=arrays[0], b1=arrays[1], w2=arrays[2],
+                      b2=arrays[3], dropout=dropout)
+
+
+def _backbone_shapes(dims: ModelDims):
+    widths = [dims.hidden1, dims.hidden2, dims.latent]
+    fan_ins = [dims.in_dim, dims.hidden1, dims.hidden2]
+    return [shape for w, f in zip(widths, fan_ins)
+            for shape in ((w, f), (w,), (w,), (w,))]
+
+
+def _head_shapes(dims: ModelDims):
+    m, l = dims.n_outputs, dims.latent
+    if dims.head == "single":
+        return [(m, l), (m,)]
+    h = dims.head_hidden
+    return [(h, l), (h,), (m, h), (m,)]
+
+
+def _carve(flat, shapes):
+    """Reshaped views of consecutive segments of ``flat``, in order."""
+    views, pos = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(flat[pos:pos + n].reshape(shape))
+        pos += n
+    return views
+
+
+def _views_like(flat, backbone: BackboneParams, head: HeadParams):
+    """(backbone, head) as views of ``flat``, shaped like the given model."""
+    arrays = _backbone_arrays(backbone) + _head_arrays(head)
+    if flat.size != sum(a.size for a in arrays):
+        raise DimensionError(
+            f"flat length {flat.size} does not fit the model")
+    views = _carve(flat, [a.shape for a in arrays])
+    nb = 4 * len(backbone.weights)
+    return (_as_backbone(views[:nb]),
+            _as_head(head.variant, views[nb:], head.dropout))
+
+
 def flatten_backbone(p: BackboneParams) -> np.ndarray:
     return np.concatenate([a.ravel() for a in _backbone_arrays(p)])
 
@@ -299,51 +358,55 @@ def flatten_head(p: HeadParams) -> np.ndarray:
 
 
 def backbone_size(dims: ModelDims) -> int:
-    widths = [dims.hidden1, dims.hidden2, dims.latent]
-    fan_ins = [dims.in_dim, dims.hidden1, dims.hidden2]
-    return sum(w * f + 3 * w for w, f in zip(widths, fan_ins))
+    return sum(math.prod(s) for s in _backbone_shapes(dims))
 
 
 def head_size(dims: ModelDims) -> int:
-    if dims.head == "single":
-        return dims.n_outputs * dims.latent + dims.n_outputs
-    return (dims.head_hidden * dims.latent + dims.head_hidden
-            + dims.n_outputs * dims.head_hidden + dims.n_outputs)
+    return sum(math.prod(s) for s in _head_shapes(dims))
 
 
-def unflatten_backbone(flat: np.ndarray, dims: ModelDims) -> BackboneParams:
+def n_params(p) -> int:
+    """Number of values in a BackboneParams or HeadParams."""
+    arrays = _head_arrays(p) if isinstance(p, HeadParams) \
+        else _backbone_arrays(p)
+    return sum(a.size for a in arrays)
+
+
+def backbone_view(flat: np.ndarray, dims: ModelDims) -> BackboneParams:
+    """The backbone whose arrays are views of ``flat``: writes go through."""
     if flat.size != backbone_size(dims):
         raise DimensionError(
             f"flat length {flat.size} != backbone size {backbone_size(dims)}")
-    widths = [dims.hidden1, dims.hidden2, dims.latent]
-    fan_ins = [dims.in_dim, dims.hidden1, dims.hidden2]
-    pos = 0
-    weights, biases, gains, shifts = [], [], [], []
-    for w, f in zip(widths, fan_ins):
-        weights.append(flat[pos:pos + w * f].reshape(w, f).copy()); pos += w * f
-        biases.append(flat[pos:pos + w].copy()); pos += w
-        gains.append(flat[pos:pos + w].copy()); pos += w
-        shifts.append(flat[pos:pos + w].copy()); pos += w
-    return BackboneParams(weights, biases, gains, shifts)
+    return _as_backbone(_carve(flat, _backbone_shapes(dims)))
 
 
-def unflatten_head(flat: np.ndarray, dims: ModelDims) -> HeadParams:
+def head_view(flat: np.ndarray, dims: ModelDims) -> HeadParams:
+    """The head whose arrays are views of ``flat``: writes go through."""
     if flat.size != head_size(dims):
         raise DimensionError(
             f"flat length {flat.size} != head size {head_size(dims)}")
-    pos = 0
-    if dims.head == "single":
-        m, l = dims.n_outputs, dims.latent
-        w_out = flat[pos:pos + m * l].reshape(m, l).copy(); pos += m * l
-        b_out = flat[pos:pos + m].copy()
-        return HeadParams("single", w_out=w_out, b_out=b_out)
-    h, l, m = dims.head_hidden, dims.latent, dims.n_outputs
-    w1 = flat[pos:pos + h * l].reshape(h, l).copy(); pos += h * l
-    b1 = flat[pos:pos + h].copy(); pos += h
-    w2 = flat[pos:pos + m * h].reshape(m, h).copy(); pos += m * h
-    b2 = flat[pos:pos + m].copy()
-    return HeadParams("two-layer", w1=w1, b1=b1, w2=w2, b2=b2,
-                      dropout=dims.dropout)
+    return _as_head(dims.head, _carve(flat, _head_shapes(dims)), dims.dropout)
+
+
+def unflatten_backbone(flat: np.ndarray, dims: ModelDims) -> BackboneParams:
+    """A backbone that owns a copy of ``flat``."""
+    return backbone_view(np.array(flat), dims)
+
+
+def unflatten_head(flat: np.ndarray, dims: ModelDims) -> HeadParams:
+    """A head that owns a copy of ``flat``."""
+    return head_view(np.array(flat), dims)
+
+
+def pack(backbone: BackboneParams, head: HeadParams):
+    """Copy a model into one new float64 vector in wire order.
+
+    Returns (vector, backbone, head) with the two rebuilt as views of the
+    vector, so that training the views trains the vector.
+    """
+    flat = np.concatenate([a.ravel() for a in _backbone_arrays(backbone)
+                           + _head_arrays(head)]).astype(float, copy=False)
+    return (flat, *_views_like(flat, backbone, head))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +425,37 @@ def adam_init(n: int) -> AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
-              lr=1e-3, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
-    """One bias-corrected Adam update; mutates state, returns new params."""
+              lr=1e-3, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
+              scratch=None):
+    """One bias-corrected Adam update, in place: ``params``, ``state.m`` and
+    ``state.v`` are overwritten and ``params`` itself is returned.
+
+    ``params`` must be float64.  ``scratch`` is a (2, n) float64 work array;
+    one is allocated per call when it is not given.  The arithmetic is, in
+    this order, m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError("adam: params/grads/state shape mismatch")
+    if params.dtype != np.float64:
+        raise ParameterError("adam: params must be float64 to update in place")
+    if scratch is None:
+        scratch = np.empty((2,) + params.shape)
+    step_dir, denom = scratch
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grads
-    state.v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    mhat = state.m / (1.0 - beta1 ** state.step)
-    vhat = state.v / (1.0 - beta2 ** state.step)
-    return params - lr * mhat / (np.sqrt(vhat) + eps)
+    m, v = state.m, state.v
+    np.multiply(m, beta1, out=m)
+    np.multiply(grads, 1.0 - beta1, out=step_dir)
+    np.add(m, step_dir, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(grads, 1.0 - beta2, out=step_dir)
+    np.multiply(step_dir, grads, out=step_dir)
+    np.add(v, step_dir, out=v)
+    np.divide(m, 1.0 - beta1 ** state.step, out=step_dir)
+    np.multiply(step_dir, lr, out=step_dir)
+    np.divide(v, 1.0 - beta2 ** state.step, out=denom)
+    np.sqrt(denom, out=denom)
+    np.add(denom, eps, out=denom)
+    np.divide(step_dir, denom, out=step_dir)
+    np.subtract(params, step_dir, out=params)
+    return params

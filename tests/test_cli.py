@@ -227,3 +227,89 @@ def test_report_missing_column_is_data_error(tmp_path, capsys):
 
 def test_report_no_runs_is_data_error(tmp_path):
     assert cli.main(["report", str(tmp_path / "none")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# limits checked before training
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def wide_partition(workspace, monkeypatch):
+    """The workspace partition, padded to 257 clients, with training made
+    to fail the test if it ever starts."""
+    part = dat.load_partition(workspace["part"])
+    part.clients = [part.clients[i % len(part.clients)] for i in range(257)]
+    monkeypatch.setattr(dat, "load_partition", lambda path: part)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(fed, "run_training", no_training)
+    return part
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["sweep", "--rho-grid", "0.05", "--quant-grid", "off,on"],
+])
+def test_too_many_pfl_clients_is_usage_error(workspace, wide_partition,
+                                             tmp_path, capsys, command):
+    rc = cli.main([*command, "--partition", workspace["part"],
+                   "--config", workspace["cfg"], *TINY_TRAIN,
+                   "-o", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "257 clients" in err and "256" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_too_many_clients_allowed_without_quantized_upload(
+        workspace, wide_partition, tmp_path):
+    for flags in (["--mode", "fedavg"], ["--ablate", "no-quantization"]):
+        with pytest.raises(AssertionError, match="training started"):
+            cli.cmd_train(cli.build_parser().parse_args(
+                ["train", "--partition", workspace["part"], *flags,
+                 "-o", str(tmp_path / "r")]))
+
+
+# ---------------------------------------------------------------------------
+# malformed partition metadata
+# ---------------------------------------------------------------------------
+
+def _copy_partition(workspace, tmp_path):
+    import shutil
+    dst = tmp_path / "part"
+    shutil.copytree(workspace["part"], dst)
+    return dst
+
+
+def _edit_kv(path, key, value=None):
+    """Drop ``key`` from a key=value file, or set it to ``value``."""
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    if value is not None:
+        lines.append(f"{key}={value}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_train_missing_stats_key_is_data_error(workspace, tmp_path, capsys):
+    part = _copy_partition(workspace, tmp_path)
+    _edit_kv(part / "client_001" / "stats.txt", "tile_row")
+    rc = cli.main(["train", "--partition", str(part),
+                   "--config", workspace["cfg"], *TINY_TRAIN,
+                   "-o", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "stats.txt" in err and "tile_row" in err
+
+
+def test_train_malformed_partition_value_is_data_error(workspace, tmp_path,
+                                                       capsys):
+    part = _copy_partition(workspace, tmp_path)
+    _edit_kv(part / "partition.txt", "clients", "twelve")
+    rc = cli.main(["train", "--partition", str(part),
+                   "--config", workspace["cfg"], *TINY_TRAIN,
+                   "-o", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "partition.txt" in err and "clients" in err and "twelve" in err

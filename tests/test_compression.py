@@ -293,3 +293,39 @@ def test_telescoping_exact_without_quantization():
 def test_telescoping_within_quantization_bound():
     tx, res, raw, bound = _run_stream(100, 300, 30, quantized=True)
     assert np.max(np.abs(tx + res - raw)) <= bound + 1e-9
+
+
+def test_top_k_non_finite_ranks_like_stable_sort():
+    # NaN ranks below every magnitude and +-inf above, as a stable argsort
+    # of -|u| ranks them; exact zeros are still never kept.
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 300))
+        u = np.round(rng.normal(size=n), 1)
+        for value in (np.nan, np.inf, -np.inf):
+            hit = rng.random(n) < 0.1
+            u[hit] = value
+        k = int(rng.integers(0, n + 1))
+        mag = np.where(np.isnan(u), -1.0, np.abs(u))
+        order = sorted(range(n), key=lambda i: (-mag[i], i))
+        expect = {i for i in order[:k] if u[i] != 0}
+        sparse = comp.top_k(u, k)
+        kept = set(np.flatnonzero(sparse))
+        assert kept == expect
+        assert np.array_equal(sparse[list(kept)], u[list(kept)],
+                              equal_nan=True)
+
+
+def test_top_k_keeps_infinities_first():
+    u = np.array([np.nan, 1.0, -np.inf, 5.0, np.inf])
+    assert np.array_equal(comp.top_k(u, 2), [0, 0, -np.inf, 0, np.inf])
+    assert np.array_equal(comp.top_k(u, 4), [0, 1.0, -np.inf, 5.0, np.inf])
+    kept = comp.top_k(u, 5)
+    assert np.isnan(kept[0])
+
+
+def test_top_k_does_not_modify_input():
+    u = RNG.normal(size=500)
+    before = u.copy()
+    comp.top_k(u, 17)
+    assert np.array_equal(u, before)

@@ -287,3 +287,24 @@ def test_per_bs_normalization_option():
     assert ds.label_mean.shape == (3,)
     assert np.allclose(ds.y_train.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(ds.y_train.std(axis=0), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("file,key,value", [
+    ("partition.txt", "bs", None),
+    ("partition.txt", "q66", "high"),
+    ("client_000/stats.txt", "coord_max_col", None),
+    ("client_001/stats.txt", "label_std", "wide"),
+])
+def test_load_partition_bad_metadata_names_file_and_key(
+        small_partition, tmp_path, file, key, value):
+    dat.export_partition(small_partition, tmp_path / "p")
+    path = tmp_path / "p" / file
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    if value is not None:
+        lines.append(f"{key}={value}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(dat.IngestionError) as info:
+        dat.load_partition(tmp_path / "p")
+    assert file.split("/")[-1] in str(info.value)
+    assert repr(key) in str(info.value)

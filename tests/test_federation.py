@@ -248,3 +248,79 @@ def test_literal_resync_variant_runs(small_partition):
                            tiny_cfg(rounds=4, resync_every_round=True))
     assert len(res.history) == 5
     assert np.all(np.isfinite(res.global_flat))
+
+
+# ---------------------------------------------------------------------------
+# flat store and failure isolation
+# ---------------------------------------------------------------------------
+
+def test_aggregate_unweighted_equals_stacked_mean_bitwise():
+    rng = np.random.default_rng(3)
+    theta = rng.normal(size=1000)
+    for n in (1, 2, 6, 9):
+        updates = [rng.normal(size=1000) * rng.uniform(1e-6, 1e3)
+                   for _ in range(n)]
+        expect = theta + np.mean(np.stack(updates), axis=0)
+        assert np.array_equal(fed.aggregate(theta, updates), expect)
+
+
+def test_local_train_updates_store_in_place(small_partition):
+    cfg = tiny_cfg()
+    dims = fed._model_dims(small_partition, cfg)
+    st = fed.ClientState(
+        0, nn.init_backbone(dims, np.random.default_rng(0)),
+        nn.init_head(dims, np.random.default_rng(1)), np.zeros(0),
+        nn.adam_init(nn.backbone_size(dims) + nn.head_size(dims)),
+        np.random.default_rng(2), small_partition.clients[0])
+    store, m, v = st.params, st.adam.m, st.adam.v
+    before = store.copy()
+    assert np.shares_memory(st.backbone.weights[0], store)
+    assert np.shares_memory(st.head.w2, store)
+    fed.local_train(st, cfg, dims)
+    assert st.params is store and st.adam.m is m and st.adam.v is v
+    assert np.shares_memory(st.backbone.weights[2], store)
+    assert np.shares_memory(st.head.b2, store)
+    assert not np.array_equal(store, before)
+    assert np.array_equal(fed._flatten_state(st, include_head=False),
+                          nn.flatten_backbone(st.backbone))
+
+
+def _nan_on_last_minibatch(monkeypatch, n_calls):
+    """Make nn.huber_grad return NaN on its n_calls-th call only."""
+    real = nn.huber_grad
+    calls = []
+
+    def poisoned(pred, target, delta=1.0):
+        calls.append(1)
+        g = real(pred, target, delta)
+        return np.full_like(g, np.nan) if len(calls) == n_calls else g
+
+    monkeypatch.setattr(nn, "huber_grad", poisoned)
+
+
+@pytest.mark.parametrize("mode", ["fedavg", "pfl"])
+def test_last_step_divergence_skips_client(small_partition, monkeypatch,
+                                           mode):
+    cfg = tiny_cfg(mode=mode, rounds=1, sync_period=1, batch_size=16)
+    steps = [-(-ds.n_train // cfg.batch_size)
+             for ds in small_partition.clients]
+    # The final minibatch of client 1: the step no loss check follows.
+    _nan_on_last_minibatch(monkeypatch, steps[0] + steps[1])
+    res = fed.run_training(small_partition, cfg)
+    assert res.final.n_payloads == len(small_partition.clients) - 1
+    assert np.all(np.isfinite(res.global_flat))
+
+
+def test_local_train_raises_on_non_finite_final_step(small_partition,
+                                                     monkeypatch):
+    cfg = tiny_cfg(topk=False)
+    dims = fed._model_dims(small_partition, cfg)
+    ds = small_partition.clients[0]
+    st = fed.ClientState(
+        0, nn.init_backbone(dims, np.random.default_rng(0)),
+        nn.init_head(dims, np.random.default_rng(1)), np.zeros(0),
+        nn.adam_init(nn.backbone_size(dims) + nn.head_size(dims)),
+        np.random.default_rng(2), ds)
+    _nan_on_last_minibatch(monkeypatch, -(-ds.n_train // cfg.batch_size))
+    with pytest.raises(fed.TrainingDiverged, match="parameters"):
+        fed.local_train(st, cfg, dims)

@@ -293,3 +293,93 @@ def test_flatten_roundtrip_identity():
     assert np.array_equal(nn.flatten_head(hd2), nn.flatten_head(hd))
     assert nn.flatten_backbone(bb).size == nn.backbone_size(dims)
     assert nn.flatten_head(hd).size == nn.head_size(dims)
+
+
+# ---------------------------------------------------------------------------
+# flat store: in-place Adam, backward into a buffer, views
+# ---------------------------------------------------------------------------
+
+def _adam_reference(m, v, p, g, t, lr, b1=nn.ADAM_BETA1, b2=nn.ADAM_BETA2,
+                    eps=nn.ADAM_EPS):
+    """The out-of-place formula, in the order adam_step documents."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    mhat = m / (1.0 - b1 ** t)
+    vhat = v / (1.0 - b2 ** t)
+    return m, v, p - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_adam_in_place_matches_reference_bitwise():
+    rng = np.random.default_rng(11)
+    n = 257
+    state = nn.adam_init(n)
+    m0, v0 = state.m, state.v
+    p = rng.normal(size=n)
+    ref_m, ref_v, ref_p = np.zeros(n), np.zeros(n), p.copy()
+    scratch = np.empty((2, n))
+    for t in range(1, 21):
+        g = rng.normal(size=n) * rng.uniform(1e-4, 10.0)
+        out = nn.adam_step(state, p, g, lr=3e-3, scratch=scratch)
+        ref_m, ref_v, ref_p = _adam_reference(ref_m, ref_v, ref_p, g, t, 3e-3)
+        assert out is p
+        assert np.array_equal(p, ref_p)
+        assert np.array_equal(state.m, ref_m)
+        assert np.array_equal(state.v, ref_v)
+    assert state.m is m0 and state.v is v0
+    assert state.step == 20
+
+
+def test_adam_rejects_non_double_params():
+    with pytest.raises(nn.ParameterError):
+        nn.adam_step(nn.adam_init(3), np.zeros(3, dtype=np.float32),
+                     np.zeros(3))
+
+
+@pytest.mark.parametrize("head", ["two-layer", "single"])
+def test_backward_into_buffer_equals_allocating_backward(head):
+    dims, bb, hd = tiny_model(seed=5, head=head)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(7, 4))
+    y = rng.normal(size=(7, 2))
+    z, bc = nn.backbone_forward(bb, x, training=True)
+    pred, hc = nn.head_forward(hd, z, training=True, rng=rng)
+    seed = nn.huber_grad(pred, y)
+    bg, hg = nn.backward(bb, hd, bc, hc, seed)
+    buf = np.full(nn.backbone_size(dims) + nn.head_size(dims), np.nan)
+    vb, vh = nn.backward(bb, hd, bc, hc, seed, out=buf)
+    assert np.array_equal(buf, _flat_params(bg, hg))
+    last = vh.b_out if head == "single" else vh.b2
+    assert all(np.shares_memory(a, buf) for a in vb.weights + [last])
+
+
+def test_backward_rejects_wrong_buffer():
+    dims, bb, hd = tiny_model()
+    z, bc = nn.backbone_forward(bb, np.zeros((1, 4)))
+    pred, hc = nn.head_forward(hd, z)
+    with pytest.raises(nn.DimensionError):
+        nn.backward(bb, hd, bc, hc, np.zeros_like(pred), out=np.zeros(3))
+
+
+def test_silu_grad_from_cached_sigmoid_is_exact():
+    from scipy.special import expit
+    a = RNG.normal(size=1000) * 8
+    assert np.array_equal(nn.silu_grad(a, expit(a)), nn.silu_grad(a))
+
+
+def test_views_write_through_and_unflatten_copies():
+    dims, bb, hd = tiny_model(seed=8)
+    flat, vb, vh = nn.pack(bb, hd)
+    lb = nn.backbone_size(dims)
+    assert flat.dtype == np.float64 and flat.size == lb + nn.head_size(dims)
+    assert np.array_equal(flat, _flat_params(bb, hd))
+    vb.gains[1][0] = 42.0
+    vh.b2[-1] = -7.0
+    assert np.array_equal(flat, _flat_params(vb, vh))
+    assert np.count_nonzero(flat == 42.0) == 1 and flat[-1] == -7.0
+    view = nn.backbone_view(flat[:lb], dims)
+    assert np.shares_memory(view.weights[0], flat)
+    copy = nn.unflatten_backbone(flat[:lb], dims)
+    assert not np.shares_memory(copy.weights[0], flat)
+    assert np.array_equal(nn.flatten_backbone(copy), flat[:lb])
+    assert nn.n_params(view) == lb
+    assert nn.n_params(vh) == nn.head_size(dims)
