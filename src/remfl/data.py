@@ -458,16 +458,31 @@ def _write_samples_csv(path, rc, x, y, n_features, n_bs):
 
 
 def _read_samples_csv(path, n_features, n_bs):
+    """(rc, x, y) of a sample CSV.  A row that is not 4 + P + M numbers is
+    an IngestionError naming the file and the line."""
+    width = 4 + n_features + n_bs
+    rc, x, y = [], [], []
     with open(path) as f:
         f.readline()
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    rc = np.array([[int(v[0]), int(v[1])] for v in rows]) \
-        if rows else np.zeros((0, 2), dtype=int)
-    x = np.array([[float(u) for u in v[2:4 + n_features]] for v in rows]) \
-        if rows else np.zeros((0, 2 + n_features))
-    y = np.array([[float(u) for u in v[4 + n_features:]] for v in rows]) \
-        if rows else np.zeros((0, n_bs))
-    return rc, x, y
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            v = line.split(",")
+            if len(v) != width:
+                raise IngestionError(
+                    f"{path}, line {lineno}: {len(v)} fields, expected {width}")
+            try:
+                rc.append([int(v[0]), int(v[1])])
+                x.append([float(u) for u in v[2:4 + n_features]])
+                y.append([float(u) for u in v[4 + n_features:]])
+            except ValueError as exc:
+                raise IngestionError(
+                    f"{path}, line {lineno}: non-numeric field ({exc})") from None
+    if not rc:
+        return (np.zeros((0, 2), dtype=int), np.zeros((0, 2 + n_features)),
+                np.zeros((0, n_bs)))
+    return np.array(rc), np.array(x), np.array(y)
 
 
 def export_partition(partition: ScenarioPartition, outdir):

@@ -1,18 +1,17 @@
-"""Federated orchestration: broadcast, local training, compressed uplink,
-server aggregation and the dense FedAvg baseline.
+"""Federated orchestration: broadcast, local training, compressed uplink
+and server aggregation, in one round loop.
 
-Two modes share the same local-training machinery:
+At a sync round (t mod R == 0) each sampled client resyncs to the broadcast
+model, trains, and uploads its delta, which the server averages in; between
+syncs clients train on from their local state (a literal every-round resync
+is behind ``resync_every_round``).  ``pfl`` runs the loop with every
+component on: personal heads (``split_head``), error feedback + Top-K,
+8-bit quantization, periodic sync and an EMA shadow for evaluation.
+``fedavg`` is the same loop with the ``FEDAVG`` preset: those five off and a
+single-layer head, i.e. one global model uploaded dense every round.
 
-* ``pfl``    -- shared backbone aggregated from compressed periodic uplinks
-               (error feedback + Top-K + 8-bit quantization), personalized
-               heads kept local; optional EMA shadow for evaluation.
-* ``fedavg`` -- single global model (backbone + one shared single-layer
-               head), dense float32-accounted upload every round.
-
-Clients resynchronize to the broadcast backbone only at sync rounds
-(t mod R == 0); between syncs they keep training from their local state
-without communicating.  A literal every-round resync is available behind
-``resync_every_round`` for comparison.
+A client whose training diverges is rolled back to its parameters and Adam
+moments at the start of the round, and skipped for that round.
 """
 
 from __future__ import annotations
@@ -40,6 +39,9 @@ class TrainingDiverged(RuntimeError):
 
 MODES = ("pfl", "fedavg")
 MODE_ALIASES = {"epfl": "pfl"}
+# fedavg: one shared model, uploaded whole, dense and every round.
+FEDAVG = dict(split_head=False, topk=False, quantization=False,
+              periodic_sync=False, ema=False, head="single")
 
 
 @dataclass
@@ -133,7 +135,7 @@ class RunResult:
     config: RunConfig
     history: list
     global_flat: np.ndarray
-    heads: list  # per-client HeadParams (pfl) or [shared head] (fedavg)
+    heads: list  # per-client HeadParams (split_head) or [shared head]
     dims: nn.ModelDims
     upload_len: int
     k: int
@@ -267,10 +269,13 @@ def evaluate(partition, backbone_flat, heads, dims, uplink_bytes=0):
 
 
 def run_training(partition, cfg: RunConfig) -> RunResult:
-    """Run the full T-round loop; fully deterministic under cfg.seed."""
+    """Run the full T-round loop; fully deterministic under cfg.seed.
+
+    ``fedavg`` is the same loop with the ``FEDAVG`` preset applied.
+    """
     if cfg.mode == "fedavg":
-        return _run_fedavg(partition, cfg)
-    return _run_pfl(partition, cfg)
+        cfg = replace(cfg, **FEDAVG)
+    return _run_rounds(partition, cfg)
 
 
 def _init_rngs(cfg):
@@ -289,7 +294,7 @@ def _cast(x, cfg):
     return x.astype(np.float32) if cfg.precision == "single" else x
 
 
-def _run_pfl(partition, cfg: RunConfig) -> RunResult:
+def _run_rounds(partition, cfg: RunConfig) -> RunResult:
     dims = _model_dims(partition, cfg)
     include_head = not cfg.split_head
     rngs = _init_rngs(cfg)
@@ -306,10 +311,14 @@ def _run_pfl(partition, cfg: RunConfig) -> RunResult:
             nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
     global_flat = _cast(global_flat, cfg)
 
-    states = _client_states(partition, cfg, dims, global_flat, upload_len)
+    # Error feedback carries only what Top-K drops: without Top-K, nothing.
+    states = _client_states(partition, cfg, dims, global_flat,
+                            upload_len if cfg.topk else 0)
     work = np.empty((3, lb + lh))  # see local_train
+    # The training client's params, Adam m and v at the start of its round.
+    saved = np.empty((3, lb + lh))
 
-    shadow = global_flat.copy()
+    shadow = global_flat.copy() if cfg.ema else None
     cum_bytes = 0
     nnz_total = 0
     n_payloads = 0
@@ -339,96 +348,49 @@ def _run_pfl(partition, cfg: RunConfig) -> RunResult:
                 # No copy: aggregate returns a new global_flat, never
                 # writing the old one, so this keeps the synced values.
                 st.ref = global_flat
+            saved[0], saved[1], saved[2] = st.params, st.adam.m, st.adam.v
+            step = st.adam.step
             try:
                 local_train(st, cfg, dims, work)
             except TrainingDiverged as exc:
-                log.warning("round %d: %s; client skipped", t, exc)
+                log.warning("round %d: %s; client skipped and rolled back",
+                            t, exc)
+                st.params[:], st.adam.m[:], st.adam.v[:] = saved
+                st.adam.step = step
                 continue
             if not sync:
                 continue
-            delta = _flatten_state(st, include_head) - st.ref
-            u = comp.accumulate(delta, st.residual)
-            sparse = comp.top_k(u, k)
-            st.residual = comp.residual_update(u, sparse)
+            upload = _flatten_state(st, include_head) - st.ref
+            if cfg.topk:
+                u = comp.accumulate(upload, st.residual)
+                upload = comp.top_k(u, k)
+                st.residual = comp.residual_update(u, upload)
             if cfg.quantization:
-                payload = comp.encode(comp.quantize(sparse, st.client_id, t))
+                payload = comp.encode(comp.quantize(upload, st.client_id, t))
                 cum_bytes += len(payload)
                 q = comp.decode(payload)
                 nnz_total += q.nnz
-                updates.append(comp.dequantize(q))
-            else:
-                nnz = int(np.count_nonzero(sparse))
+                upload = comp.dequantize(q)
+            elif cfg.topk:
+                nnz = int(np.count_nonzero(upload))
                 cum_bytes += comp.sparse_float_bytes(nnz)
                 nnz_total += nnz
-                updates.append(sparse)
+            else:
+                cum_bytes += comp.dense_bytes(upload_len)
+            updates.append(upload)
             n_payloads += 1
             weights.append(st.dataset.n_train)
         if updates:
             global_flat = aggregate(global_flat, updates,
                                     weights if cfg.size_weighted else None)
-        shadow = ema_update(shadow, global_flat, cfg.ema_beta) if cfg.ema \
-            else global_flat.copy()
+        if cfg.ema:
+            shadow = ema_update(shadow, global_flat, cfg.ema_beta)
         snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
 
     # Copies: a view would keep the client's whole store alive.
     heads = [nn.unflatten_head(st.params[lb:], dims) for st in states] \
         if not include_head else [nn.unflatten_head(global_flat[lb:], dims)]
     return RunResult(cfg, history, global_flat, heads, dims, upload_len, k)
-
-
-def _run_fedavg(partition, cfg: RunConfig) -> RunResult:
-    """Dense baseline: one global model, full float32-accounted upload."""
-    cfg = replace(cfg, head="single")
-    dims = _model_dims(partition, cfg)
-    rngs = _init_rngs(cfg)
-    lb = nn.backbone_size(dims)
-    lh = nn.head_size(dims)
-    l_full = lb + lh
-    global_flat = np.concatenate([
-        nn.flatten_backbone(nn.init_backbone(dims, rngs["backbone"])),
-        nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
-    global_flat = _cast(global_flat, cfg)
-
-    states = _client_states(partition, cfg, dims, global_flat, 0)
-    work = np.empty((3, l_full))  # see local_train
-
-    cum_bytes = 0
-    n_payloads = 0
-    history = []
-
-    def snapshot(round_no, wall_ms):
-        heads = [nn.head_view(global_flat[lb:], dims)]
-        b = evaluate(partition, global_flat[:lb], heads, dims, cum_bytes)
-        history.append(RoundEntry(round_no, b, cum_bytes, n_payloads, 0,
-                                  wall_ms))
-
-    snapshot(0, 0.0)
-    t0 = time.perf_counter()
-    for t in range(cfg.rounds):
-        participants = sample_clients(len(states), cfg.client_fraction,
-                                      rngs["sample"])
-        updates, weights = [], []
-        for cid in participants:
-            st = states[cid]
-            st.params[:] = global_flat
-            st.ref = global_flat
-            try:
-                local_train(st, cfg, dims, work)
-            except TrainingDiverged as exc:
-                log.warning("round %d: %s; client skipped", t, exc)
-                continue
-            updates.append(_flatten_state(st, include_head=True) - st.ref)
-            cum_bytes += comp.dense_bytes(l_full)
-            n_payloads += 1
-            weights.append(st.dataset.n_train)
-        if updates:
-            global_flat = aggregate(global_flat, updates,
-                                    weights if cfg.size_weighted else None)
-        snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
-
-    return RunResult(cfg, history,  global_flat,
-                     [nn.unflatten_head(global_flat[lb:], dims)],
-                     dims, l_full, l_full)
 
 
 # ---------------------------------------------------------------------------

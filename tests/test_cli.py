@@ -313,3 +313,27 @@ def test_train_malformed_partition_value_is_data_error(workspace, tmp_path,
     assert rc == 2
     err = capsys.readouterr().err
     assert "partition.txt" in err and "clients" in err and "twelve" in err
+
+
+def _edit_sample_row(path, line, edit):
+    """Apply ``edit`` to the field list of 1-based ``line`` of a CSV."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda v: ["0x"] + v[1:], "non-numeric field"),
+    (lambda v: v[:-1], "fields, expected"),
+], ids=["non-numeric", "short-row"])
+def test_train_malformed_sample_row_is_data_error(workspace, tmp_path, capsys,
+                                                  edit, what):
+    part = _copy_partition(workspace, tmp_path)
+    _edit_sample_row(part / "client_000" / "train.csv", 3, edit)
+    rc = cli.main(["train", "--partition", str(part),
+                   "--config", workspace["cfg"], *TINY_TRAIN,
+                   "-o", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "train.csv" in err
+    assert "line 3" in err and what in err

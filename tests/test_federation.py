@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,16 +182,25 @@ def test_degenerate_pfl_equals_fedavg(small_partition):
         sync_period=1, ema=False, head="single", **common))
     b = fed.run_training(small_partition, fed.RunConfig(
         mode="fedavg", **common))
-    assert np.max(np.abs(a.global_flat - b.global_flat)) < 1e-9
+    assert np.array_equal(a.global_flat, b.global_flat)
+    assert a.final.cum_bytes == b.final.cum_bytes
+    assert a.final.n_payloads == b.final.n_payloads
+    assert ([e.bundle.rmse_macro for e in a.history]
+            == [e.bundle.rmse_macro for e in b.history])
 
 
 def test_quantization_off_uses_float_accounting(small_partition):
+    n = len(small_partition.clients)
+    # With Top-K: a (u32 index, f32 value) pair per kept entry.
     res = fed.run_training(small_partition,
                            tiny_cfg(rounds=1, sync_period=1,
                                     quantization=False))
-    expect = sum(comp.sparse_float_bytes(res.k)
-                 for _ in small_partition.clients)
-    assert res.final.cum_bytes == expect
+    assert res.final.cum_bytes == n * comp.sparse_float_bytes(res.k)
+    # Without Top-K: the dense vector as float32.
+    res = fed.run_training(small_partition,
+                           tiny_cfg(rounds=1, sync_period=1,
+                                    quantization=False, topk=False))
+    assert res.final.cum_bytes == n * comp.dense_bytes(res.upload_len)
 
 
 def test_client_sampling_fraction(small_partition):
@@ -324,3 +335,30 @@ def test_local_train_raises_on_non_finite_final_step(small_partition,
     _nan_on_last_minibatch(monkeypatch, -(-ds.n_train // cfg.batch_size))
     with pytest.raises(fed.TrainingDiverged, match="parameters"):
         fed.local_train(st, cfg, dims)
+
+
+@pytest.mark.parametrize("mode", ["fedavg", "pfl"])
+def test_diverged_client_is_rolled_back(small_partition, monkeypatch, mode):
+    cfg = tiny_cfg(mode=mode, rounds=4, sync_period=1,
+                   batch_size=max(ds.n_train for ds in small_partition.clients))
+    # Client 0's only step of round 0 gets a NaN gradient.
+    _nan_on_last_minibatch(monkeypatch, 1)
+    res = fed.run_training(small_partition, cfg)
+    n = len(small_partition.clients)
+    assert res.final.n_payloads == cfg.rounds * n - 1
+    assert all(np.isfinite(e.bundle.rmse_macro) for e in res.history)
+    assert np.all(np.isfinite(res.global_flat))
+
+
+@pytest.mark.parametrize("mode", ["fedavg", "pfl"])
+def test_client_with_inf_label_is_skipped_every_round(small_partition, mode):
+    clients = list(small_partition.clients)
+    clients[1] = dataclasses.replace(
+        clients[1], y_train=np.full_like(clients[1].y_train, np.inf))
+    part = dataclasses.replace(small_partition, clients=clients)
+    cfg = tiny_cfg(mode=mode, rounds=3, sync_period=1)
+    res = fed.run_training(part, cfg)
+    n = len(part.clients)
+    assert res.final.n_payloads == cfg.rounds * (n - 1)
+    assert all(np.isfinite(e.bundle.rmse_macro) for e in res.history)
+    assert np.all(np.isfinite(res.global_flat))
