@@ -37,15 +37,6 @@ ABLATIONS = {
     "no-ema": ("ema", False),
 }
 
-_BOOL_KEYS = {"ema", "split_head", "periodic_sync", "topk", "quantization",
-              "resync_every_round", "size_weighted"}
-_INT_KEYS = {"rounds", "local_epochs", "sync_period", "batch_size", "seed",
-             "hidden1", "hidden2", "latent", "head_hidden"}
-_FLOAT_KEYS = {"sparsity", "client_fraction", "ema_beta", "lr", "huber_delta",
-               "dropout"}
-_STR_KEYS = {"mode", "head", "precision"}
-CONFIG_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
 
 class UsageError(Exception):
     pass
@@ -62,31 +53,45 @@ def _parse_bool(v: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"not a boolean: {v!r}")
+    raise ValueError(f"not a boolean: {v!r}")
+
+
+# Config key -> parser of its value text, from RunConfig's field types (the
+# strings "bool", "int", "float" and "str" under postponed annotations).
+_FIELD_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+_CONFIG_PARSERS = {f.name: _FIELD_PARSERS[f.type]
+                   for f in dataclasses.fields(fed.RunConfig)}
+CONFIG_KEYS = set(_CONFIG_PARSERS)
+
+
+def _parse_value(what, raw, parse):
+    """``parse(raw)``, with a failure reported as a UsageError naming
+    ``what``."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise UsageError(f"{what}: cannot parse {raw!r}")
 
 
 def load_config_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text")
     values = {}
     unknown = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in CONFIG_KEYS:
-                unknown.append(key)
-                continue
-            if key in _BOOL_KEYS:
-                values[key] = _parse_bool(raw)
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in CONFIG_KEYS:
+            unknown.append(key)
+            continue
+        values[key] = _parse_value(key, raw, _CONFIG_PARSERS[key])
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return values
@@ -127,7 +132,7 @@ def cmd_gen_data(args) -> int:
         tx = []
         for spec in args.tx:
             r, _, c = spec.partition(",")
-            tx.append((float(r), float(c)))
+            tx.append(tuple(_parse_value("--tx", v, float) for v in (r, c)))
     cfg = dat.SyntheticMapConfig(
         seed=args.seed, width=size, height=size, n_bs=args.bs,
         n_features=args.features, tx_positions=tx,
@@ -264,9 +269,12 @@ def cmd_sweep(args) -> int:
     cfg0 = build_run_config(args)
     if not args.partition or not args.out:
         raise UsageError("sweep requires --partition and -o")
-    rhos = [float(v) for v in args.rho_grid.split(",")]
-    periods = [int(v) for v in args.period_grid.split(",")]
-    quants = [_parse_bool(v) for v in args.quant_grid.split(",")]
+    rhos = [_parse_value("--rho-grid", v, float)
+            for v in args.rho_grid.split(",")]
+    periods = [_parse_value("--period-grid", v, int)
+               for v in args.period_grid.split(",")]
+    quants = [_parse_value("--quant-grid", v, _parse_bool)
+              for v in args.quant_grid.split(",")]
     if not rhos or not periods or not quants:
         raise UsageError("empty sweep grid")
     partition = dat.load_partition(args.partition)

@@ -3,9 +3,8 @@ and server aggregation, in one round loop.
 
 At a sync round (t mod R == 0) each sampled client resyncs to the broadcast
 model, trains, and uploads its delta, which the server averages in; between
-syncs clients train on from their local state (a literal every-round resync
-is behind ``resync_every_round``).  ``pfl`` runs the loop with every
-component on: personal heads (``split_head``), error feedback + Top-K,
+syncs clients train on from their local state.  ``pfl`` runs the loop with
+every component on: personal heads (``split_head``), error feedback + Top-K,
 8-bit quantization, periodic sync and an EMA shadow for evaluation.
 ``fedavg`` is the same loop with the ``FEDAVG`` preset: those five off and a
 single-layer head, i.e. one global model uploaded dense every round.
@@ -17,6 +16,7 @@ moments at the start of the round, and skipped for that round.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -59,10 +59,6 @@ class RunConfig:
     periodic_sync: bool = True
     topk: bool = True
     quantization: bool = True
-    # variants / options
-    resync_every_round: bool = False
-    size_weighted: bool = False
-    precision: str = "double"  # "double" or "single"
     # local training
     batch_size: int = 64
     lr: float = 1e-3
@@ -90,8 +86,20 @@ class RunConfig:
             raise ValueError("ema_beta must be in [0, 1]")
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must be in (0, 1]")
-        if self.precision not in ("double", "single"):
-            raise ValueError("precision must be 'double' or 'single'")
+        if self.rounds < 0:
+            raise ValueError("rounds must be >= 0")
+        for key in ("batch_size", "hidden1", "hidden2", "latent",
+                    "head_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if not self.huber_delta > 0.0:
+            raise ValueError("huber_delta must be > 0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if self.head not in ("single", "two-layer"):
+            raise ValueError("head must be 'single' or 'two-layer'")
 
 
 @dataclass
@@ -109,25 +117,17 @@ class ClientState:
     """One client's model, optimizer and data.
 
     ``params`` is the client's parameter store: one float64 vector holding
-    the backbone then the head in wire order, and ``backbone``/``head`` are
-    views of it.  Built from separate arrays (``params=None``), the state
-    copies them into a new store.
+    the backbone then the head in wire order (see ``nn.backbone_view`` and
+    ``nn.head_view``).
     """
 
     client_id: int
-    backbone: nn.BackboneParams
-    head: nn.HeadParams
+    params: np.ndarray
     residual: np.ndarray
     adam: nn.AdamState
     rng: np.random.Generator
     dataset: object
     ref: np.ndarray | None = None  # flat params at the last synchronization
-    params: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.params is None:
-            self.params, self.backbone, self.head = nn.pack(self.backbone,
-                                                            self.head)
 
 
 @dataclass
@@ -151,24 +151,20 @@ def sample_clients(n_clients, fraction, rng) -> np.ndarray:
     return np.sort(rng.choice(n_clients, size=size, replace=False))
 
 
-def aggregate(flat_global, updates, weights=None) -> np.ndarray:
-    """theta + (weighted) mean of decoded updates; identity on an empty set."""
+def aggregate(flat_global, updates) -> np.ndarray:
+    """theta + mean of decoded updates; identity on an empty set."""
     if not updates:
         return flat_global.copy()
     for u in updates:
         if u.shape != flat_global.shape:
             raise AggregationError(
                 f"update length {u.size} != model length {flat_global.size}")
-    if weights is None:
-        # Row by row, then one division: the bits of np.mean over a stack,
-        # without the stack.
-        mean = updates[0].astype(np.result_type(*updates), copy=True)
-        for u in updates[1:]:
-            mean += u
-        mean /= len(updates)
-    else:
-        w = np.asarray(weights, dtype=float)
-        mean = np.tensordot(w / w.sum(), np.stack(updates), axes=1)
+    # Row by row, then one division: the bits of np.mean over a stack,
+    # without the stack.
+    mean = updates[0].astype(np.result_type(*updates), copy=True)
+    for u in updates[1:]:
+        mean += u
+    mean /= len(updates)
     return flat_global + mean
 
 
@@ -181,14 +177,6 @@ def _model_dims(partition, cfg: RunConfig) -> nn.ModelDims:
         in_dim=2 + partition.n_features, n_outputs=partition.n_bs,
         hidden1=cfg.hidden1, hidden2=cfg.hidden2, latent=cfg.latent,
         head=cfg.head, head_hidden=cfg.head_hidden, dropout=cfg.dropout)
-
-
-def _flatten_state(state: ClientState, include_head: bool) -> np.ndarray:
-    """The uploaded part of the client's store, as a view: all of it, or the
-    backbone in front of the head."""
-    if include_head:
-        return state.params
-    return state.params[:nn.n_params(state.backbone)]
 
 
 def _client_states(partition, cfg: RunConfig, dims, start, residual_len):
@@ -207,13 +195,11 @@ def _client_states(partition, cfg: RunConfig, dims, start, residual_len):
                 nn.init_head(dims, _client_rng(cfg, 1000 + ds.client_id)))
         states.append(ClientState(
             client_id=ds.client_id,
-            backbone=nn.backbone_view(p[:lb], dims),
-            head=nn.head_view(p[lb:], dims),
+            params=p,
             residual=np.zeros(residual_len),
             adam=nn.adam_init(p.size),
             rng=_client_rng(cfg, ds.client_id),
-            dataset=ds,
-            params=p))
+            dataset=ds))
     return states
 
 
@@ -229,6 +215,9 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
     """
     x, y = state.dataset.x_train, state.dataset.y_train
     n = x.shape[0]
+    lb = nn.backbone_size(dims)
+    backbone = nn.backbone_view(state.params[:lb], dims)
+    head = nn.head_view(state.params[lb:], dims)
     if work is None:
         work = np.empty((3, state.params.size))
     grad, scratch = work[0], work[1:]
@@ -237,16 +226,15 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
-            z, bcache = nn.backbone_forward(state.backbone, xb, training=True)
-            pred, hcache = nn.head_forward(state.head, z, training=True,
+            z, bcache = nn.backbone_forward(backbone, xb, training=True)
+            pred, hcache = nn.head_forward(head, z, training=True,
                                            rng=state.rng)
             loss = nn.huber_loss(pred, yb, cfg.huber_delta)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"client {state.client_id}: non-finite loss")
             seed = nn.huber_grad(pred, yb, cfg.huber_delta)
-            nn.backward(state.backbone, state.head, bcache, hcache, seed,
-                        out=grad)
+            nn.backward(backbone, head, bcache, hcache, seed, out=grad)
             nn.adam_step(state.adam, state.params, grad, lr=cfg.lr,
                          scratch=scratch)
     if not np.isfinite(state.params).all():
@@ -254,7 +242,7 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
             f"client {state.client_id}: non-finite parameters after training")
 
 
-def evaluate(partition, backbone_flat, heads, dims, uplink_bytes=0):
+def evaluate(partition, backbone_flat, heads, dims):
     """Per-client test pass, denormalized to dB; heads may be per-client or
     a single shared head (broadcast to all clients)."""
     backbone = nn.backbone_view(backbone_flat, dims)
@@ -265,7 +253,7 @@ def evaluate(partition, backbone_flat, heads, dims, uplink_bytes=0):
         pred, _ = nn.head_forward(head, z, training=False)
         res_db = (np.atleast_2d(pred) - ds.y_test) * ds.label_std
         residuals.append(res_db)
-    return met.bundle(residuals, uplink_mb=uplink_bytes / 1e6)
+    return met.bundle(residuals)
 
 
 def run_training(partition, cfg: RunConfig) -> RunResult:
@@ -290,10 +278,6 @@ def _client_rng(cfg, cid):
     return np.random.default_rng([cfg.seed, 3, cid])
 
 
-def _cast(x, cfg):
-    return x.astype(np.float32) if cfg.precision == "single" else x
-
-
 def _run_rounds(partition, cfg: RunConfig) -> RunResult:
     dims = _model_dims(partition, cfg)
     include_head = not cfg.split_head
@@ -309,7 +293,6 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
         global_flat = np.concatenate([
             global_flat,
             nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
-    global_flat = _cast(global_flat, cfg)
 
     # Error feedback carries only what Top-K drops: without Top-K, nothing.
     states = _client_states(partition, cfg, dims, global_flat,
@@ -329,8 +312,8 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
         if include_head:
             heads = [nn.head_view(eval_flat[lb:], dims)]
         else:
-            heads = [st.head for st in states]
-        b = evaluate(partition, eval_flat[:lb], heads, dims, cum_bytes)
+            heads = [nn.head_view(st.params[lb:], dims) for st in states]
+        b = evaluate(partition, eval_flat[:lb], heads, dims)
         history.append(RoundEntry(round_no, b, cum_bytes, n_payloads,
                                   nnz_total, wall_ms))
 
@@ -340,10 +323,10 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
         participants = sample_clients(len(states), cfg.client_fraction,
                                       rngs["sample"])
         sync = (t % r_eff == 0)
-        updates, weights = [], []
+        updates = []
         for cid in participants:
             st = states[cid]
-            if sync or cfg.resync_every_round:
+            if sync:
                 st.params[:upload_len] = global_flat
                 # No copy: aggregate returns a new global_flat, never
                 # writing the old one, so this keeps the synced values.
@@ -360,7 +343,7 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
                 continue
             if not sync:
                 continue
-            upload = _flatten_state(st, include_head) - st.ref
+            upload = st.params[:upload_len] - st.ref
             if cfg.topk:
                 u = comp.accumulate(upload, st.residual)
                 upload = comp.top_k(u, k)
@@ -379,10 +362,8 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
                 cum_bytes += comp.dense_bytes(upload_len)
             updates.append(upload)
             n_payloads += 1
-            weights.append(st.dataset.n_train)
         if updates:
-            global_flat = aggregate(global_flat, updates,
-                                    weights if cfg.size_weighted else None)
+            global_flat = aggregate(global_flat, updates)
         if cfg.ema:
             shadow = ema_update(shadow, global_flat, cfg.ema_beta)
         snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)

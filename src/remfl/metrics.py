@@ -22,7 +22,6 @@ class MetricBundle:
     mae_macro: float
     per_bs_rmse: np.ndarray   # (M,)
     per_client_rmse: np.ndarray  # (N,)
-    uplink_mb: float
 
 
 @dataclass
@@ -63,7 +62,7 @@ def per_bs_rmse(residuals) -> np.ndarray:
     return np.sqrt(np.mean(r * r, axis=0))
 
 
-def bundle(per_client_residuals, uplink_mb=0.0) -> MetricBundle:
+def bundle(per_client_residuals) -> MetricBundle:
     """Assemble the full metric bundle from per-client residual matrices."""
     if not per_client_residuals:
         raise MetricError("no clients")
@@ -76,8 +75,7 @@ def bundle(per_client_residuals, uplink_mb=0.0) -> MetricBundle:
         rmse_macro=rmse_macro(client_rmse),
         mae_macro=mae_macro(client_mae),
         per_bs_rmse=per_bs_rmse(pooled),
-        per_client_rmse=client_rmse,
-        uplink_mb=float(uplink_mb))
+        per_client_rmse=client_rmse)
 
 
 def pareto_frontier(points) -> list:

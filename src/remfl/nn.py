@@ -1,6 +1,6 @@
 """Minimal dense network engine for the split backbone/head model.
 
-Everything is plain numpy in double precision: a three-layer MLP backbone
+Everything is plain numpy in float64: a three-layer MLP backbone
 (bias -> SiLU -> LayerNorm per layer, normalization applied after the
 activation) producing a latent vector, plus a per-client head that is either
 a single linear layer or a small two-layer MLP with inverted dropout.
@@ -396,17 +396,6 @@ def unflatten_backbone(flat: np.ndarray, dims: ModelDims) -> BackboneParams:
 def unflatten_head(flat: np.ndarray, dims: ModelDims) -> HeadParams:
     """A head that owns a copy of ``flat``."""
     return head_view(np.array(flat), dims)
-
-
-def pack(backbone: BackboneParams, head: HeadParams):
-    """Copy a model into one new float64 vector in wire order.
-
-    Returns (vector, backbone, head) with the two rebuilt as views of the
-    vector, so that training the views trains the vector.
-    """
-    flat = np.concatenate([a.ravel() for a in _backbone_arrays(backbone)
-                           + _head_arrays(head)]).astype(float, copy=False)
-    return (flat, *_views_like(flat, backbone, head))
 
 
 # ---------------------------------------------------------------------------

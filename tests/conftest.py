@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from remfl import data as dat
+
+# Property tests draw the same examples on every run and stay small, so the
+# suite is deterministic and its time does not depend on the machine.
+settings.register_profile("remfl", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("remfl")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from remfl import cli
 from remfl import data as dat
@@ -179,6 +181,80 @@ def test_train_ablation_flags(capsys):
 
 def test_cli_rejects_unknown_command():
     assert cli.main(["frobnicate"]) == 1
+
+
+# (command and flags, bad config lines or None, name the message must hold)
+BAD_INPUTS = {
+    "head=foo": (["train"], "head=foo", "head"),
+    "dropout=1.5": (["train"], "dropout=1.5", "dropout"),
+    "hidden1=0": (["train"], "hidden1=0", "hidden1"),
+    "batch_size=0": (["train"], "batch_size=0", "batch_size"),
+    "huber_delta=0": (["train"], "huber_delta=0", "huber_delta"),
+    "rounds=abc": (["train"], "rounds=abc", "rounds"),
+    "latin-1-file": (["train"], "head=\xe4", "not UTF-8"),
+    "--rounds=-1": (["train", "--rounds", "-1"], None, "rounds"),
+    "--lr=-1": (["train", "--lr", "-1"], None, "lr"),
+    "--lr=inf": (["train", "--lr", "inf"], None, "lr"),
+    "--tx=1,x": (["gen-data", "--size", "10", "--tx", "1,x"], None, "--tx"),
+    "--rho-grid=0.1,abc": (["sweep", "--rho-grid", "0.1,abc"], None,
+                           "--rho-grid"),
+    "--period-grid=5,x": (["sweep", "--period-grid", "5,x"], None,
+                          "--period-grid"),
+}
+
+
+@pytest.mark.parametrize("argv, lines, name", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_value_is_usage_error_naming_it(workspace, tmp_path, capsys,
+                                            argv, lines, name):
+    if argv[0] != "gen-data":
+        cfg = tmp_path / "bad.cfg"
+        # Latin-1, so that a non-ASCII character is not UTF-8.
+        cfg.write_bytes((TINY_NET + (lines or "") + "\n").encode("latin-1"))
+        argv = [argv[0], "--partition", workspace["part"], *TINY_TRAIN,
+                "--config", str(cfg), *argv[1:]]
+    rc = cli.main([*argv, "-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and name in err
+
+
+# Config files and flag values drawn at random: whatever the text, the edge
+# answers with a usage error or a config, never with another exception.
+_VALUE = st.one_of(st.text(max_size=12), st.integers().map(str),
+                   st.floats().map(repr))
+_LINE = st.one_of(
+    st.builds("{}={}".format,
+              st.one_of(st.sampled_from(sorted(cli.CONFIG_KEYS)),
+                        st.text(max_size=8)),
+              _VALUE),
+    st.text(max_size=20))
+
+
+@pytest.fixture(scope="module")
+def scratch_cfg(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+
+
+@given(lines=st.lists(_LINE, max_size=6))
+def test_load_config_file_raises_only_usage_error(scratch_cfg, lines):
+    scratch_cfg.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        values = cli.load_config_file(scratch_cfg)
+    except cli.UsageError:
+        return
+    assert set(values) <= cli.CONFIG_KEYS
+
+
+@given(flags=st.lists(
+    st.tuples(st.sampled_from(["--rounds", "--lr", "--batch-size", "--rho"]),
+              _VALUE),
+    max_size=4))
+def test_print_config_with_fuzzed_flags_exits_0_or_1(flags):
+    argv = ["train", "--print-config"]
+    for flag, value in flags:
+        argv.append(f"{flag}={value}")
+    assert cli.main(argv) in (0, 1)
 
 
 # ---------------------------------------------------------------------------
