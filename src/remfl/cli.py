@@ -21,7 +21,6 @@ from . import compression as comp
 from . import data as dat
 from . import federation as fed
 from . import metrics as met
-from . import nn
 
 log = logging.getLogger("remfl")
 
@@ -75,26 +74,13 @@ def _parse_value(what, raw, parse):
 
 def load_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
+        raw = dat.read_kv(path)
     except UnicodeDecodeError:
         raise UsageError(f"{path}: not UTF-8 text")
-    values = {}
-    unknown = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in CONFIG_KEYS:
-            unknown.append(key)
-            continue
-        values[key] = _parse_value(key, raw, _CONFIG_PARSERS[key])
+    unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return values
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    return {k: _parse_value(k, v, _CONFIG_PARSERS[k]) for k, v in raw.items()}
 
 
 def config_items(cfg: fed.RunConfig):
@@ -106,14 +92,10 @@ def config_items(cfg: fed.RunConfig):
 
 
 def write_manifest(cfg: fed.RunConfig, path, extra=()):
-    lines = [f"{k}={v}" for k, v in config_items(cfg)]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    with open(path, "w") as f:
-        for k, v in extra:
-            f.write(f"{k}={v}\n")
-        for line in lines:
-            f.write(line + "\n")
-        f.write(f"config_sha256={digest}\n")
+    items = list(config_items(cfg))
+    text = "\n".join(f"{k}={v}" for k, v in items)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    dat.write_kv(path, [*extra, *items, ("config_sha256", digest)])
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +197,7 @@ def build_run_config(args) -> fed.RunConfig:
 def _save_models(result: fed.RunResult, outdir):
     np.savez(os.path.join(outdir, "backbone.npz"),
              global_flat=result.global_flat)
-    heads = {f"head_{i:03d}": nn.flatten_head(h)
-             for i, h in enumerate(result.heads)}
+    heads = {f"head_{i:03d}": h for i, h in enumerate(result.heads)}
     np.savez(os.path.join(outdir, "heads.npz"), **heads)
 
 

@@ -7,15 +7,17 @@ little-endian, 21-byte header:
     round   u32
     client  u8       (client ids are capped at 255)
     length  u32      original dense vector length
-    scale   f32      symmetric quantization scale (0 iff payload empty)
+    scale   f32      finite symmetric quantization scale (0 iff payload empty)
     nnz     u32
-    entries nnz * (u32 index, i8 qvalue), indices strictly increasing
+    entries nnz * (u32 index, i8 qvalue in [-127, 127]), indices strictly
+            increasing
 
 Byte size is therefore 21 + 5*nnz.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -102,7 +104,8 @@ def residual_update(u: np.ndarray, sparse: np.ndarray) -> np.ndarray:
 def quantize(sparse: np.ndarray, client_id: int = 0, round_no: int = 0) -> QuantizedUpdate:
     """Symmetric 8-bit quantization with a single scale = max|v| / 127.
 
-    Rounding is half-away-from-zero so quantize(-v) == -quantize(v).
+    Rounding is half-away-from-zero so quantize(-v) == -quantize(v).  An
+    update whose scale overflows float32 is a CodecError.
     """
     if not np.all(np.isfinite(sparse)):
         raise CodecError("non-finite entry in update vector")
@@ -112,7 +115,12 @@ def quantize(sparse: np.ndarray, client_id: int = 0, round_no: int = 0) -> Quant
                                np.empty(0, dtype=np.int8),
                                0.0, int(sparse.size), client_id, round_no)
     vals = sparse[idx]
-    scale = float(np.float32(np.max(np.abs(vals)) / QMAX))
+    peak = np.max(np.abs(vals))
+    with np.errstate(over="ignore"):
+        scale = float(np.float32(peak / QMAX))
+    if not math.isfinite(scale):
+        raise CodecError(f"client {client_id}: update too large to quantize "
+                         f"(max |v| = {peak:.3g})")
     q = np.sign(vals) * np.floor(np.abs(vals) / scale + 0.5)
     q = np.clip(q, -QMAX, QMAX).astype(np.int8)
     return QuantizedUpdate(idx.astype(np.uint32), q, scale,
@@ -145,19 +153,23 @@ def decode(buf: bytes) -> QuantizedUpdate:
     magic, round_no, client_id, length, scale, nnz = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise CodecError(f"bad magic {magic!r}")
+    if not math.isfinite(scale):
+        raise CodecError(f"non-finite scale {scale!r}")
     if len(buf) != HEADER_BYTES + ENTRY_BYTES * nnz:
         raise CodecError(
             f"payload size {len(buf)} != expected {HEADER_BYTES + ENTRY_BYTES * nnz}")
     entries = np.frombuffer(buf, dtype=_ENTRY_DTYPE, count=nnz, offset=HEADER_BYTES)
     indices = entries["index"].astype(np.uint32)
+    qvalues = entries["qvalue"].astype(np.int8)
+    if np.any(qvalues < -QMAX):  # i8 reaches QMAX on the other side
+        raise CodecError(f"qvalue outside [{-QMAX}, {QMAX}]")
     if indices.size:
         if np.any(np.diff(indices.astype(np.int64)) <= 0):
             raise CodecError("indices not strictly increasing")
         if int(indices.max()) >= length:
             raise CodecError("index beyond vector length")
-    return QuantizedUpdate(indices, entries["qvalue"].astype(np.int8),
-                           float(scale), int(length), int(client_id),
-                           int(round_no))
+    return QuantizedUpdate(indices, qvalues, float(scale), int(length),
+                           int(client_id), int(round_no))
 
 
 def uplink_bytes(q: QuantizedUpdate) -> int:

@@ -422,21 +422,24 @@ def grid_partition(grid: RadioMapGrid, field: HeterogeneityField,
 # Partition export / import (one directory per client).
 # ---------------------------------------------------------------------------
 
-def _write_kv(path, items):
-    with open(path, "w") as f:
+def write_kv(path, items):
+    """One ``key=value`` line per (key, value) pair, UTF-8."""
+    with open(path, "w", encoding="utf-8") as f:
         for k, v in items:
             f.write(f"{k}={v}\n")
 
 
-def _read_kv(path):
+def read_kv(path) -> dict:
+    """The ``key=value`` lines of a UTF-8 file, key and value stripped;
+    blank lines and ``#`` comments are skipped, and a later key wins."""
     out = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             k, _, v = line.partition("=")
-            out[k] = v
+            out[k.strip()] = v.strip()
     return out
 
 
@@ -462,7 +465,7 @@ def _read_samples_csv(path, n_features, n_bs):
     an IngestionError naming the file and the line."""
     width = 4 + n_features + n_bs
     rc, x, y = [], [], []
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         f.readline()
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
@@ -487,7 +490,7 @@ def _read_samples_csv(path, n_features, n_bs):
 
 def export_partition(partition: ScenarioPartition, outdir):
     os.makedirs(outdir, exist_ok=True)
-    _write_kv(os.path.join(outdir, "partition.txt"), [
+    write_kv(os.path.join(outdir, "partition.txt"), [
         ("scenario", partition.scenario),
         ("rows", partition.rows), ("cols", partition.cols),
         ("seed", partition.seed),
@@ -518,7 +521,7 @@ def export_partition(partition: ScenarioPartition, outdir):
         else:
             stats += [(f"label_mean_{i+1}", _fmt(mu[i])) for i in range(mu.size)]
             stats += [(f"label_std_{i+1}", _fmt(sd[i])) for i in range(sd.size)]
-        _write_kv(os.path.join(cdir, "stats.txt"), stats)
+        write_kv(os.path.join(cdir, "stats.txt"), stats)
 
 
 def _field(kv, key, cast, path):
@@ -537,7 +540,7 @@ def load_partition(indir) -> ScenarioPartition:
     meta_path = os.path.join(indir, "partition.txt")
     if not os.path.exists(meta_path):
         raise IngestionError(f"no partition.txt under {indir}")
-    meta = _read_kv(meta_path)
+    meta = read_kv(meta_path)
     n_bs = _field(meta, "bs", int, meta_path)
     n_features = _field(meta, "features", int, meta_path)
     n_clients = _field(meta, "clients", int, meta_path)
@@ -545,7 +548,7 @@ def load_partition(indir) -> ScenarioPartition:
     for k in range(n_clients):
         cdir = os.path.join(indir, f"client_{k:03d}")
         stats_path = os.path.join(cdir, "stats.txt")
-        stats = _read_kv(stats_path)
+        stats = read_kv(stats_path)
 
         def num(key):
             return _field(stats, key, float, stats_path)

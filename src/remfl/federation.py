@@ -9,8 +9,10 @@ every component on: personal heads (``split_head``), error feedback + Top-K,
 ``fedavg`` is the same loop with the ``FEDAVG`` preset: those five off and a
 single-layer head, i.e. one global model uploaded dense every round.
 
-A client whose training diverges is rolled back to its parameters and Adam
-moments at the start of the round, and skipped for that round.
+A client whose training diverges, or whose upload cannot be quantized, is
+rolled back to its parameters at the start of the round with a fresh
+optimizer (zero Adam moments, step 0), and skipped for that round.  Heads
+leave a run as flat vectors, slices of the client stores.
 """
 
 from __future__ import annotations
@@ -127,7 +129,6 @@ class ClientState:
     adam: nn.AdamState
     rng: np.random.Generator
     dataset: object
-    ref: np.ndarray | None = None  # flat params at the last synchronization
 
 
 @dataclass
@@ -135,7 +136,7 @@ class RunResult:
     config: RunConfig
     history: list
     global_flat: np.ndarray
-    heads: list  # per-client HeadParams (split_head) or [shared head]
+    heads: list  # per-client flat heads (split_head) or [shared flat head]
     dims: nn.ModelDims
     upload_len: int
     k: int
@@ -226,7 +227,7 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
-            z, bcache = nn.backbone_forward(backbone, xb, training=True)
+            z, bcache = nn.backbone_forward(backbone, xb)
             pred, hcache = nn.head_forward(head, z, training=True,
                                            rng=state.rng)
             loss = nn.huber_loss(pred, yb, cfg.huber_delta)
@@ -243,16 +244,13 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
 
 
 def evaluate(partition, backbone_flat, heads, dims):
-    """Per-client test pass, denormalized to dB; heads may be per-client or
-    a single shared head (broadcast to all clients)."""
+    """Per-client test pass with one head per client, denormalized to dB."""
     backbone = nn.backbone_view(backbone_flat, dims)
     residuals = []
-    for i, ds in enumerate(partition.clients):
-        head = heads[i] if len(heads) > 1 else heads[0]
-        z, _ = nn.backbone_forward(backbone, ds.x_test, training=False)
-        pred, _ = nn.head_forward(head, z, training=False)
-        res_db = (np.atleast_2d(pred) - ds.y_test) * ds.label_std
-        residuals.append(res_db)
+    for ds, head in zip(partition.clients, heads, strict=True):
+        z, _ = nn.backbone_forward(backbone, ds.x_test)
+        pred, _ = nn.head_forward(head, z)
+        residuals.append((pred - ds.y_test) * ds.label_std)
     return met.bundle(residuals)
 
 
@@ -298,8 +296,8 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
     states = _client_states(partition, cfg, dims, global_flat,
                             upload_len if cfg.topk else 0)
     work = np.empty((3, lb + lh))  # see local_train
-    # The training client's params, Adam m and v at the start of its round.
-    saved = np.empty((3, lb + lh))
+    # The training client's params at the start of its round.
+    saved = np.empty(lb + lh)
 
     shadow = global_flat.copy() if cfg.ema else None
     cum_bytes = 0
@@ -310,7 +308,7 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
     def snapshot(round_no, wall_ms):
         eval_flat = shadow if cfg.ema else global_flat
         if include_head:
-            heads = [nn.head_view(eval_flat[lb:], dims)]
+            heads = [nn.head_view(eval_flat[lb:], dims)] * len(states)
         else:
             heads = [nn.head_view(st.params[lb:], dims) for st in states]
         b = evaluate(partition, eval_flat[:lb], heads, dims)
@@ -328,28 +326,27 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
             st = states[cid]
             if sync:
                 st.params[:upload_len] = global_flat
-                # No copy: aggregate returns a new global_flat, never
-                # writing the old one, so this keeps the synced values.
-                st.ref = global_flat
-            saved[0], saved[1], saved[2] = st.params, st.adam.m, st.adam.v
-            step = st.adam.step
+            saved[:] = st.params
             try:
                 local_train(st, cfg, dims, work)
-            except TrainingDiverged as exc:
+                if not sync:
+                    continue
+                upload = st.params[:upload_len] - global_flat
+                if cfg.topk:
+                    u = comp.accumulate(upload, st.residual)
+                    upload = comp.top_k(u, k)
+                if cfg.quantization:
+                    q = comp.quantize(upload, st.client_id, t)
+            except (TrainingDiverged, comp.CodecError) as exc:
                 log.warning("round %d: %s; client skipped and rolled back",
                             t, exc)
-                st.params[:], st.adam.m[:], st.adam.v[:] = saved
-                st.adam.step = step
+                st.params[:] = saved
+                st.adam = nn.adam_init(saved.size)
                 continue
-            if not sync:
-                continue
-            upload = st.params[:upload_len] - st.ref
             if cfg.topk:
-                u = comp.accumulate(upload, st.residual)
-                upload = comp.top_k(u, k)
                 st.residual = comp.residual_update(u, upload)
             if cfg.quantization:
-                payload = comp.encode(comp.quantize(upload, st.client_id, t))
+                payload = comp.encode(q)
                 cum_bytes += len(payload)
                 q = comp.decode(payload)
                 nnz_total += q.nnz
@@ -369,8 +366,8 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
         snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
 
     # Copies: a view would keep the client's whole store alive.
-    heads = [nn.unflatten_head(st.params[lb:], dims) for st in states] \
-        if not include_head else [nn.unflatten_head(global_flat[lb:], dims)]
+    heads = [global_flat[lb:].copy()] if include_head \
+        else [st.params[lb:].copy() for st in states]
     return RunResult(cfg, history, global_flat, heads, dims, upload_len, k)
 
 

@@ -11,7 +11,11 @@ A model can live in one contiguous vector in the frozen wire order (see
 "Flat store" below): ``backbone_view``/``head_view`` give BackboneParams and
 HeadParams whose arrays are reshaped views of it, ``backward`` can write its
 gradients into a flat buffer the same way, and ``adam_step`` then updates the
-whole vector without a flatten or unflatten per step.
+whole vector without a flatten or unflatten per step.  A trained head leaves
+a run as its flat slice of that vector.
+
+Forward and backward passes take 2-D batches of rows only; a single sample
+is a batch of one row, and a 1-D input is a DimensionError.
 """
 
 from __future__ import annotations
@@ -142,20 +146,22 @@ def init_head(dims: ModelDims, rng: np.random.Generator) -> HeadParams:
     )
 
 
-def backbone_forward(params: BackboneParams, x, training=False):
-    """Forward pass; returns (latent, cache) with cache keeping pre-activations
-    and their sigmoids for the backward pass.
-
-    Accepts a single sample (1-D) or a batch of rows (2-D).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    if xb.shape[1] != params.weights[0].shape[1]:
+def _rows(a, width, what):
+    """``a`` as a float64 batch of rows ``width`` wide; anything else, a
+    single 1-D sample included, is a DimensionError."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != width:
         raise DimensionError(
-            f"input width {xb.shape[1]} != expected {params.weights[0].shape[1]}")
+            f"{what}: expected rows of width {width}, got shape {a.shape}")
+    return a
+
+
+def backbone_forward(params: BackboneParams, x):
+    """Forward pass over a batch of rows; returns (latent, cache), the cache
+    holding each layer's (input, pre-activation, sigmoid, normalized
+    activation, 1/std) for the backward pass."""
+    cur = _rows(x, params.weights[0].shape[1], "backbone input")
     layers = []
-    cur = xb
     for w, b, g, s in zip(params.weights, params.biases, params.gains, params.shifts):
         a = cur @ w.T + b
         sig = expit(a)
@@ -166,8 +172,7 @@ def backbone_forward(params: BackboneParams, x, training=False):
         out = g * y + s
         layers.append((cur, a, sig, y, inv_std))
         cur = out
-    z = cur[0] if single else cur
-    return z, {"layers": layers, "single": single}
+    return cur, layers
 
 
 def backbone_backward(params: BackboneParams, cache, dz, grads):
@@ -176,9 +181,9 @@ def backbone_backward(params: BackboneParams, cache, dz, grads):
 
     dL/dx of the input is never needed, so it is not computed.
     """
-    dout = np.atleast_2d(np.asarray(dz, dtype=float))
+    dout = _rows(dz, params.weights[-1].shape[0], "backbone_backward")
     for i in reversed(range(len(params.weights))):
-        x_in, a, sig, y, inv_std = cache["layers"][i]
+        x_in, a, sig, y, inv_std = cache[i]
         np.sum(dout * y, axis=0, out=grads.gains[i])
         np.sum(dout, axis=0, out=grads.shifts[i])
         dy = dout * params.gains[i]
@@ -193,43 +198,36 @@ def backbone_backward(params: BackboneParams, cache, dz, grads):
 
 
 def head_forward(params: HeadParams, z, training=False, rng=None):
-    """Head pass; dropout is inverted-scaled at train time, identity at eval."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    zb = np.atleast_2d(z)
+    """Head pass over a batch of latent rows; dropout is inverted-scaled at
+    train time, identity at eval."""
     if params.variant == "single":
-        if zb.shape[1] != params.w_out.shape[1]:
-            raise DimensionError("latent width mismatch for single head")
-        pred = zb @ params.w_out.T + params.b_out
-        cache = {"z": zb, "single": single}
-    else:
-        if zb.shape[1] != params.w1.shape[1]:
-            raise DimensionError("latent width mismatch for two-layer head")
-        mask = None
-        zd = zb
-        if training and params.dropout > 0.0:
-            if rng is None:
-                raise ParameterError("training dropout requires an rng")
-            keep = 1.0 - params.dropout
-            mask = (rng.random(zb.shape) < keep) / keep
-            zd = zb * mask
-        a1 = zd @ params.w1.T + params.b1
-        s1 = expit(a1)
-        h1 = a1 * s1
-        pred = h1 @ params.w2.T + params.b2
-        cache = {"zd": zd, "mask": mask, "a1": a1, "s1": s1, "h1": h1,
-                 "single": single}
-    return (pred[0] if single else pred), cache
+        z = _rows(z, params.w_out.shape[1], "single head input")
+        return z @ params.w_out.T + params.b_out, {"z": z}
+    z = _rows(z, params.w1.shape[1], "two-layer head input")
+    mask = None
+    zd = z
+    if training and params.dropout > 0.0:
+        if rng is None:
+            raise ParameterError("training dropout requires an rng")
+        keep = 1.0 - params.dropout
+        mask = (rng.random(z.shape) < keep) / keep
+        zd = z * mask
+    a1 = zd @ params.w1.T + params.b1
+    s1 = expit(a1)
+    h1 = a1 * s1
+    pred = h1 @ params.w2.T + params.b2
+    return pred, {"zd": zd, "mask": mask, "a1": a1, "s1": s1, "h1": h1}
 
 
 def head_backward(params: HeadParams, cache, dpred, grads):
     """Writes the head's gradients into ``grads`` (a HeadParams of float64
     arrays); returns (grads, dL/dz)."""
-    dp = np.atleast_2d(np.asarray(dpred, dtype=float))
     if params.variant == "single":
+        dp = _rows(dpred, params.w_out.shape[0], "head_backward")
         np.matmul(dp.T, cache["z"], out=grads.w_out)
         np.sum(dp, axis=0, out=grads.b_out)
         return grads, dp @ params.w_out
+    dp = _rows(dpred, params.w2.shape[0], "head_backward")
     dh1 = dp @ params.w2
     np.matmul(dp.T, cache["h1"], out=grads.w2)
     np.sum(dp, axis=0, out=grads.b2)
@@ -250,11 +248,17 @@ def backward(backbone: BackboneParams, head: HeadParams, bcache, hcache, dpred,
     vector in wire order: ``out`` when given (the model's length), else a
     new one.
     """
+    arrays = _backbone_arrays(backbone) + _head_arrays(head)
+    n = sum(a.size for a in arrays)
     if out is None:
-        out = np.empty(n_params(backbone) + n_params(head))
-    elif out.dtype != np.float64:
-        raise DimensionError("backward: gradient buffer must be float64")
-    gb, gh = _views_like(out, backbone, head)
+        out = np.empty(n)
+    elif out.dtype != np.float64 or out.size != n:
+        raise DimensionError(
+            f"backward: gradient buffer must be {n} float64 values")
+    views = _carve(out, [a.shape for a in arrays])
+    nb = 4 * len(backbone.weights)
+    gb = _as_backbone(views[:nb])
+    gh = _as_head(head.variant, views[nb:], head.dropout)
     _, dz = head_backward(head, hcache, dpred, gh)
     backbone_backward(backbone, bcache, dz, gb)
     return gb, gh
@@ -337,18 +341,6 @@ def _carve(flat, shapes):
     return views
 
 
-def _views_like(flat, backbone: BackboneParams, head: HeadParams):
-    """(backbone, head) as views of ``flat``, shaped like the given model."""
-    arrays = _backbone_arrays(backbone) + _head_arrays(head)
-    if flat.size != sum(a.size for a in arrays):
-        raise DimensionError(
-            f"flat length {flat.size} does not fit the model")
-    views = _carve(flat, [a.shape for a in arrays])
-    nb = 4 * len(backbone.weights)
-    return (_as_backbone(views[:nb]),
-            _as_head(head.variant, views[nb:], head.dropout))
-
-
 def flatten_backbone(p: BackboneParams) -> np.ndarray:
     return np.concatenate([a.ravel() for a in _backbone_arrays(p)])
 
@@ -363,13 +355,6 @@ def backbone_size(dims: ModelDims) -> int:
 
 def head_size(dims: ModelDims) -> int:
     return sum(math.prod(s) for s in _head_shapes(dims))
-
-
-def n_params(p) -> int:
-    """Number of values in a BackboneParams or HeadParams."""
-    arrays = _head_arrays(p) if isinstance(p, HeadParams) \
-        else _backbone_arrays(p)
-    return sum(a.size for a in arrays)
 
 
 def backbone_view(flat: np.ndarray, dims: ModelDims) -> BackboneParams:

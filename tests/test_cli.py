@@ -257,6 +257,22 @@ def test_print_config_with_fuzzed_flags_exits_0_or_1(flags):
     assert cli.main(argv) in (0, 1)
 
 
+def test_train_unquantizable_updates_are_skipped(workspace, tmp_path, caplog):
+    # lr=1e300 gives updates beyond the float32 range of the QUP1 scale.
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--partition", workspace["part"],
+                   "--config", workspace["cfg"], *TINY_TRAIN, "--lr", "1e300",
+                   "--batch-size", "100000", "-o", str(out)])
+    assert rc == 0
+    assert np.all(np.isfinite(np.load(out / "backbone.npz")["global_flat"]))
+    _, rows = fed.read_roundlog(out / "roundlog.csv")
+    assert all(np.isfinite(float(r["rmse_macro"])) for r in rows)
+    # Nothing went up, and each of the 2 x 4 client-rounds is counted.
+    assert float(rows[-1]["cum_uplink_mb"]) == 0.0
+    skipped = [r for r in caplog.records if "client skipped" in r.getMessage()]
+    assert sorted(r.args[0] for r in skipped) == [0] * 4 + [1] * 4
+
+
 # ---------------------------------------------------------------------------
 # sweep and report
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from remfl import compression as comp
 from remfl.nn import ParameterError
@@ -143,6 +147,19 @@ def test_quantize_rejects_non_finite():
         comp.quantize(np.array([1.0, np.nan]))
 
 
+def test_quantize_rejects_scale_beyond_float32():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(comp.CodecError, match="client 3"):
+            comp.quantize(np.array([0.0, -1e300, 2.0]), client_id=3)
+
+
+def test_quantize_largest_float32_scale_is_accepted():
+    top = float(np.finfo(np.float32).max)
+    q = comp.quantize(np.array([top * comp.QMAX, 1.0]))
+    assert q.scale == top and q.qvalues[0] == comp.QMAX
+
+
 def test_dequantize_bound_and_sign():
     for _ in range(100):
         v = np.zeros(64)
@@ -254,6 +271,21 @@ def test_decode_rejects_index_beyond_length():
         comp.decode(comp.encode(q))
 
 
+@pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+def test_decode_rejects_non_finite_scale(scale):
+    q = comp.QuantizedUpdate(np.array([1], dtype=np.uint32),
+                             np.array([1], dtype=np.int8), scale, 5, 0, 0)
+    with pytest.raises(comp.CodecError, match="scale"):
+        comp.decode(comp.encode(q))
+
+
+def test_decode_rejects_qvalue_minus_128():
+    q = comp.QuantizedUpdate(np.array([0, 2], dtype=np.uint32),
+                             np.array([5, -128], dtype=np.int8), 1.0, 5, 0, 0)
+    with pytest.raises(comp.CodecError, match="qvalue"):
+        comp.decode(comp.encode(q))
+
+
 def test_encode_rejects_wide_client_id():
     q = comp.quantize(np.zeros(4), client_id=300)
     with pytest.raises(comp.CodecError):
@@ -329,3 +361,73 @@ def test_top_k_does_not_modify_input():
     before = u.copy()
     comp.top_k(u, 17)
     assert np.array_equal(u, before)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _headed_bytes(draw):
+    """A QUP1 header with arbitrary fields and entry bytes of the size its
+    nnz announces, or arbitrary bytes after the magic."""
+    if draw(st.booleans()):
+        return comp.MAGIC + draw(st.binary(max_size=40))
+    nnz = draw(st.integers(0, 6))
+    header = comp._HEADER.pack(
+        comp.MAGIC, draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(0, 255)), draw(st.integers(0, 12)),
+        draw(st.floats(width=32)), nnz)
+    return header + draw(st.binary(min_size=5 * nnz, max_size=5 * nnz))
+
+
+@given(buf=st.one_of(st.binary(max_size=60), _headed_bytes()))
+def test_decode_of_arbitrary_bytes_raises_only_codec_error(buf):
+    try:
+        q = comp.decode(buf)
+    except comp.CodecError:
+        return
+    assert len(buf) == comp.uplink_bytes(q)
+    assert np.isfinite(q.scale)
+    assert np.all(np.abs(q.qvalues.astype(int)) <= comp.QMAX)
+    assert np.all(np.diff(q.indices.astype(np.int64)) > 0)
+    assert np.all(q.indices < q.length)
+
+
+@st.composite
+def _valid_updates(draw):
+    length = draw(st.integers(1, 2**32 - 1))
+    idx = sorted(draw(st.sets(st.integers(0, min(length, 10**6) - 1),
+                              max_size=20)))
+    qv = draw(st.lists(st.integers(-comp.QMAX, comp.QMAX),
+                       min_size=len(idx), max_size=len(idx)))
+    scale = draw(st.floats(width=32, allow_nan=False, allow_infinity=False))
+    return comp.QuantizedUpdate(
+        np.array(idx, dtype=np.uint32), np.array(qv, dtype=np.int8), scale,
+        length, draw(st.integers(0, comp.MAX_CLIENT_ID)),
+        draw(st.integers(0, 2**32 - 1)))
+
+
+@given(q=_valid_updates())
+def test_encode_decode_of_any_valid_update_is_field_exact(q):
+    assert _same(comp.decode(comp.encode(q)), q)
+
+
+_ODD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.nan, np.inf,
+                     -np.inf]),
+    st.floats())
+
+
+@given(data=st.data(),
+       values=st.lists(_ODD_VALUES, min_size=1, max_size=60))
+def test_top_k_matches_stable_sort_oracle(data, values):
+    u = np.array(values)
+    k = data.draw(st.integers(0, u.size))
+    mag = np.where(np.isnan(u), -1.0, np.abs(u))
+    order = sorted(range(u.size), key=lambda i: (-mag[i], i))
+    expect = sorted(i for i in order[:k] if u[i] != 0)
+    sparse = comp.top_k(u, k)
+    kept = np.flatnonzero((sparse != 0) | np.isnan(sparse))
+    assert kept.tolist() == expect
+    assert np.array_equal(sparse[kept], u[kept], equal_nan=True)

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from remfl import data as dat
 
@@ -308,3 +310,45 @@ def test_load_partition_bad_metadata_names_file_and_key(
         dat.load_partition(tmp_path / "p")
     assert file.split("/")[-1] in str(info.value)
     assert repr(key) in str(info.value)
+
+
+def test_kv_files_round_trip_stripped(tmp_path):
+    path = tmp_path / "meta.txt"
+    dat.write_kv(path, [("a", 1), ("b", "x y"), ("a", 2.5)])
+    assert path.read_bytes() == b"a=1\nb=x y\na=2.5\n"
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("# note\n\n  c = \u00e9t\u00e9 \nd\n")
+    assert dat.read_kv(path) == {"a": "2.5", "b": "x y", "c": "\u00e9t\u00e9",
+                                 "d": ""}
+
+
+# A sample CSV with one field or one row replaced by arbitrary text: it
+# loads, or it is an IngestionError, never another exception.
+@pytest.fixture(scope="module")
+def sample_csv(tmp_path_factory, small_partition):
+    c = small_partition.clients[0]
+    path = tmp_path_factory.mktemp("csv") / "train.csv"
+    dat._write_samples_csv(path, c.rc_train, c.x_train, c.y_train,
+                           small_partition.n_features, small_partition.n_bs)
+    return path, path.read_text().splitlines(), small_partition
+
+
+@given(data=st.data(), text=st.text(max_size=12), whole_row=st.booleans())
+def test_mutated_sample_csv_raises_only_ingestion_error(sample_csv, data,
+                                                        text, whole_row):
+    path, lines, part = sample_csv
+    lines = list(lines)
+    row = data.draw(st.integers(1, len(lines) - 1))
+    if whole_row:
+        lines[row] = text
+    else:
+        fields = lines[row].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = text
+        lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        rc, x, y = dat._read_samples_csv(path, part.n_features, part.n_bs)
+    except dat.IngestionError:
+        return
+    assert x.shape == (rc.shape[0], 2 + part.n_features)
+    assert y.shape == (rc.shape[0], part.n_bs)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -336,3 +337,66 @@ def test_client_with_inf_label_is_skipped_every_round(small_partition, mode):
     assert res.final.n_payloads == cfg.rounds * (n - 1)
     assert all(np.isfinite(e.bundle.rmse_macro) for e in res.history)
     assert np.all(np.isfinite(res.global_flat))
+
+
+@pytest.mark.parametrize("failing", [(0, 1), (1,)], ids=["rounds-0-1",
+                                                         "round-1"])
+def test_rollback_restores_start_params_with_fresh_optimizer(
+        small_partition, monkeypatch, failing):
+    # sync_period=3: round 0 resyncs, rounds 1 and 2 do not, so client 0's
+    # next call sees exactly what the rollback left behind.  Failing in
+    # round 1 only, the client has Adam history that must not survive.
+    cfg = tiny_cfg(rounds=3, sync_period=3)
+    real = fed.local_train
+    entries = []  # client 0's (params, m, v, step) at each call
+
+    def flaky(state, *args, **kwargs):
+        if state.client_id != 0:
+            return real(state, *args, **kwargs)
+        entries.append((state.params.copy(), state.adam.m.copy(),
+                        state.adam.v.copy(), state.adam.step))
+        real(state, *args, **kwargs)  # moves the moments and the step on
+        if len(entries) - 1 in failing:
+            state.params[:] = np.nan
+            state.adam.m[:] = np.nan
+            raise fed.TrainingDiverged("client 0: injected")
+
+    monkeypatch.setattr(fed, "local_train", flaky)
+    res = fed.run_training(small_partition, cfg)
+    assert len(entries) == 3
+    for t in failing:
+        params, m, v, step = entries[t + 1]
+        assert np.array_equal(params, entries[t][0])
+        assert not m.any() and not v.any() and step == 0
+    if 0 in failing:
+        assert res.final.n_payloads == len(small_partition.clients) - 1
+    assert np.all(np.isfinite(res.global_flat))
+
+
+def test_unquantizable_upload_rolls_back_and_keeps_residual(
+        small_partition, monkeypatch, caplog):
+    cfg = tiny_cfg(rounds=1, sync_period=1)
+    real_quantize, real_train = comp.quantize, fed.local_train
+    seen = {}  # client 1: its state and params at the start of the round
+
+    def train(state, *args, **kwargs):
+        if state.client_id == 1:
+            seen.update(state=state, start=state.params.copy())
+        return real_train(state, *args, **kwargs)
+
+    def quantize(update, client_id=0, round_no=0):
+        if client_id == 1:
+            raise comp.CodecError("client 1: injected")
+        return real_quantize(update, client_id, round_no)
+
+    monkeypatch.setattr(fed, "local_train", train)
+    monkeypatch.setattr(comp, "quantize", quantize)
+    with caplog.at_level(logging.WARNING, logger="remfl.federation"):
+        res = fed.run_training(small_partition, cfg)
+    skipped = [r for r in caplog.records if "client skipped" in r.getMessage()]
+    assert [r.args[0] for r in skipped] == [0]
+    assert res.final.n_payloads == len(small_partition.clients) - 1
+    st = seen["state"]
+    assert np.array_equal(st.params, seen["start"])
+    assert not st.residual.any()  # error feedback as before the round
+    assert not st.adam.m.any() and st.adam.step == 0

@@ -70,15 +70,15 @@ def test_backbone_zero_input_zero_latent():
     dims, bb, _ = tiny_model()
     for b in bb.biases:
         b[:] = 0.0
-    z, _ = nn.backbone_forward(bb, np.zeros(4))
+    z, _ = nn.backbone_forward(bb, np.zeros((1, 4)))
     assert np.allclose(z, 0.0)
 
 
 def test_backbone_output_width_is_latent():
     dims = nn.ModelDims(in_dim=6, n_outputs=3)
     bb = nn.init_backbone(dims, np.random.default_rng(0))
-    z, _ = nn.backbone_forward(bb, RNG.normal(size=6))
-    assert z.shape == (512,)
+    z, _ = nn.backbone_forward(bb, RNG.normal(size=(1, 6)))
+    assert z.shape == (1, 512)
 
 
 def test_backbone_matches_inline_formula():
@@ -89,8 +89,8 @@ def test_backbone_matches_inline_formula():
     for w, b, g, s in zip(bb.weights, bb.biases, bb.gains, bb.shifts):
         h = nn.silu(w @ cur + b)
         cur = g * (h - h.mean()) / np.sqrt(h.var() + nn.LN_EPS) + s
-    z, _ = nn.backbone_forward(bb, x)
-    assert np.allclose(z, cur, atol=1e-12)
+    z, _ = nn.backbone_forward(bb, x[None, :])
+    assert np.allclose(z[0], cur, atol=1e-12)
 
 
 def test_backbone_single_unit_chain():
@@ -98,27 +98,40 @@ def test_backbone_single_unit_chain():
     dims = nn.ModelDims(in_dim=1, n_outputs=1, hidden1=1, hidden2=1, latent=1)
     bb = nn.init_backbone(dims, np.random.default_rng(5))
     bb.shifts[2][:] = 0.3
-    z, _ = nn.backbone_forward(bb, np.array([1.7]))
+    z, _ = nn.backbone_forward(bb, np.array([[1.7]]))
     assert np.allclose(z, 0.3)
 
 
 def test_backbone_dimension_error():
     dims, bb, _ = tiny_model()
     with pytest.raises(nn.DimensionError):
-        nn.backbone_forward(bb, np.zeros(5))
+        nn.backbone_forward(bb, np.zeros((1, 5)))
+    with pytest.raises(nn.DimensionError):  # one sample is a one-row batch
+        nn.backbone_forward(bb, np.zeros(4))
+
+
+@pytest.mark.parametrize("head", ["two-layer", "single"])
+def test_head_passes_reject_one_dimensional_input(head):
+    _, bb, hd = tiny_model(head=head)
+    z, bc = nn.backbone_forward(bb, np.zeros((1, 4)))
+    pred, hc = nn.head_forward(hd, z)
+    with pytest.raises(nn.DimensionError):
+        nn.head_forward(hd, z[0])
+    with pytest.raises(nn.DimensionError):
+        nn.backward(bb, hd, bc, hc, np.zeros_like(pred[0]))
 
 
 def test_single_head_at_origin_is_bias():
     _, _, head = tiny_model(head="single")
     head.b_out[:] = [1.0, -2.0]
-    pred, _ = nn.head_forward(head, np.zeros(8))
-    assert np.allclose(pred, [1.0, -2.0])
+    pred, _ = nn.head_forward(head, np.zeros((1, 8)))
+    assert np.allclose(pred, [[1.0, -2.0]])
 
 
 def test_two_layer_head_eval_ignores_dropout():
     _, _, head = tiny_model(seed=1)
     head.dropout = 0.5
-    z = RNG.normal(size=8)
+    z = RNG.normal(size=(1, 8))
     p1, _ = nn.head_forward(head, z, training=False)
     p2, _ = nn.head_forward(head, z, training=False)
     assert np.array_equal(p1, p2)
@@ -129,14 +142,14 @@ def test_two_layer_head_zero_weights_gives_bias():
     head.w1[:] = 0.0
     head.w2[:] = 0.0
     head.b2[:] = [0.5, 0.25]
-    pred, _ = nn.head_forward(head, RNG.normal(size=8))
-    assert np.allclose(pred, [0.5, 0.25])
+    pred, _ = nn.head_forward(head, RNG.normal(size=(1, 8)))
+    assert np.allclose(pred, [[0.5, 0.25]])
 
 
 def test_dropout_inverted_scaling():
     _, _, head = tiny_model(seed=2)
     head.dropout = 0.5
-    z = np.ones(8)
+    z = np.ones((1, 8))
     rng = np.random.default_rng(0)
     caches = [nn.head_forward(head, z, training=True, rng=rng)[1]
               for _ in range(2000)]
@@ -341,7 +354,7 @@ def test_backward_into_buffer_equals_allocating_backward(head):
     rng = np.random.default_rng(6)
     x = rng.normal(size=(7, 4))
     y = rng.normal(size=(7, 2))
-    z, bc = nn.backbone_forward(bb, x, training=True)
+    z, bc = nn.backbone_forward(bb, x)
     pred, hc = nn.head_forward(hd, z, training=True, rng=rng)
     seed = nn.huber_grad(pred, y)
     bg, hg = nn.backward(bb, hd, bc, hc, seed)
@@ -381,5 +394,5 @@ def test_views_write_through_and_unflatten_copies():
     copy = nn.unflatten_backbone(flat[:lb], dims)
     assert not np.shares_memory(copy.weights[0], flat)
     assert np.array_equal(nn.flatten_backbone(copy), flat[:lb])
-    assert nn.n_params(vb) == lb
-    assert nn.n_params(vh) == nn.head_size(dims)
+    assert nn.flatten_backbone(vb).size == lb
+    assert nn.flatten_head(vh).size == nn.head_size(dims)
