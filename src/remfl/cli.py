@@ -153,8 +153,7 @@ def cmd_partition(args) -> int:
     field = dat.heterogeneity(grid)
     part = dat.grid_partition(grid, field, args.scenario, rows=rows,
                               cols=cols, neighbor_mix=args.mix,
-                              seed=args.seed, train_frac=args.train_frac,
-                              per_bs=args.per_bs)
+                              seed=args.seed, train_frac=args.train_frac)
     dat.export_partition(part, args.out)
     total = sum(c.n_train + c.n_test for c in part.clients)
     print(f"wrote {args.out}: scenario={args.scenario}, "
@@ -173,15 +172,9 @@ def build_run_config(args) -> fed.RunConfig:
     if args.preset == "desk":
         values.setdefault("rounds", 40)
         values.setdefault("local_epochs", 1)
-    overrides = {
-        "mode": args.mode, "rounds": args.rounds, "seed": args.seed,
-        "local_epochs": args.epochs, "sync_period": args.sync_period,
-        "sparsity": args.rho, "client_fraction": args.fraction,
-        "lr": args.lr, "batch_size": args.batch_size, "head": args.head,
-    }
-    for k, v in overrides.items():
-        if v is not None:
-            values[k] = v
+    # Each run flag stores its value under its config key.
+    values.update({k: v for k, v in vars(args).items()
+                   if k in CONFIG_KEYS and v is not None})
     for name in args.ablate or []:
         if name not in ABLATIONS:
             raise UsageError(
@@ -346,10 +339,10 @@ def _add_train_flags(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--mode", choices=["pfl", "epfl", "fedavg"])
     p.add_argument("--rounds", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, dest="local_epochs")
     p.add_argument("--sync-period", type=int, dest="sync_period")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--fraction", type=float)
+    p.add_argument("--rho", type=float, dest="sparsity")
+    p.add_argument("--fraction", type=float, dest="client_fraction")
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--head", choices=["single", "two-layer"])
@@ -388,8 +381,6 @@ def build_parser() -> _Parser:
                    help="neighbor-mix fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--per-bs", action="store_true",
-                   help="per-base-station label standardization")
     p.add_argument("--preset", choices=["desk"])
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_partition)

@@ -1,4 +1,5 @@
-"""Uplink codec: error feedback, Top-K, 8-bit quantization, wire format.
+"""Uplink codec: error feedback, Top-K, 8-bit quantization, wire format,
+and ``transmit``, which takes one client's update through all of them.
 
 The binary payload ("QUP1") is the project's one wire protocol.  Layout,
 little-endian, 21-byte header:
@@ -12,7 +13,9 @@ little-endian, 21-byte header:
     entries nnz * (u32 index, i8 qvalue in [-127, 127]), indices strictly
             increasing
 
-Byte size is therefore 21 + 5*nnz.
+Byte size is therefore 21 + 5*nnz.  Without quantization an update is
+accounted as float32 values: 21 + 8*nnz with Top-K (u32 index + f32 value
+per entry), 4*L for the whole vector of length L.
 """
 
 from __future__ import annotations
@@ -32,10 +35,15 @@ ENTRY_BYTES = 5
 _ENTRY_DTYPE = np.dtype([("index", "<u4"), ("qvalue", "<i1")])
 MAX_CLIENT_ID = 255
 QMAX = 127
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class CodecError(ValueError):
     """Malformed payload or non-encodable update."""
+
+
+class UnencodableUpdate(CodecError):
+    """An update the wire cannot carry: a NaN, or values beyond float32."""
 
 
 @dataclass
@@ -105,22 +113,25 @@ def quantize(sparse: np.ndarray, client_id: int = 0, round_no: int = 0) -> Quant
     """Symmetric 8-bit quantization with a single scale = max|v| / 127.
 
     Rounding is half-away-from-zero so quantize(-v) == -quantize(v).  An
-    update whose scale overflows float32 is a CodecError.
+    update with a non-finite entry, or whose scale overflows float32, is an
+    UnencodableUpdate.  One whose scale underflows float32 to 0 is sent
+    empty, since all of its entries would dequantize to 0.
     """
     if not np.all(np.isfinite(sparse)):
-        raise CodecError("non-finite entry in update vector")
+        raise UnencodableUpdate("non-finite entry in update vector")
     idx = np.flatnonzero(sparse)
-    if idx.size == 0:
-        return QuantizedUpdate(np.empty(0, dtype=np.uint32),
-                               np.empty(0, dtype=np.int8),
-                               0.0, int(sparse.size), client_id, round_no)
     vals = sparse[idx]
-    peak = np.max(np.abs(vals))
+    peak = np.max(np.abs(vals)) if idx.size else 0.0
     with np.errstate(over="ignore"):
         scale = float(np.float32(peak / QMAX))
     if not math.isfinite(scale):
-        raise CodecError(f"client {client_id}: update too large to quantize "
-                         f"(max |v| = {peak:.3g})")
+        raise UnencodableUpdate(
+            f"client {client_id}: update too large to quantize "
+            f"(max |v| = {peak:.3g})")
+    if scale == 0.0:
+        return QuantizedUpdate(np.empty(0, dtype=np.uint32),
+                               np.empty(0, dtype=np.int8),
+                               0.0, int(sparse.size), client_id, round_no)
     q = np.sign(vals) * np.floor(np.abs(vals) / scale + 0.5)
     q = np.clip(q, -QMAX, QMAX).astype(np.int8)
     return QuantizedUpdate(idx.astype(np.uint32), q, scale,
@@ -185,3 +196,31 @@ def sparse_float_bytes(nnz: int) -> int:
 def dense_bytes(length: int) -> int:
     """Uncompressed float32 accounting used for the dense baselines."""
     return 4 * length
+
+
+def transmit(delta: np.ndarray, residual: np.ndarray | None, k: int,
+             quantized: bool, client_id: int = 0, round_no: int = 0):
+    """One client's upload: with a ``residual``, error feedback and Top-K
+    (else ``delta`` goes whole), then a QUP1 payload or float32 values.
+
+    Returns (update as the server decodes it, new residual or None, bytes on
+    the wire, nnz of an indexed form, else 0).  An update the wire cannot
+    carry raises UnencodableUpdate; ``residual`` is never written.
+    """
+    update = delta
+    if residual is not None:
+        u = accumulate(delta, residual)
+        update = top_k(u, k)
+        residual = residual_update(u, update)
+    if quantized:
+        payload = encode(quantize(update, client_id, round_no))
+        q = decode(payload)
+        return dequantize(q), residual, len(payload), q.nnz
+    # NaN fails both comparisons.
+    if not (-FLOAT32_MAX <= update.min() and update.max() <= FLOAT32_MAX):
+        raise UnencodableUpdate(
+            f"client {client_id}: update not representable as float32")
+    if residual is None:
+        return update, None, dense_bytes(update.size), 0
+    nnz = int(np.count_nonzero(update))
+    return update, residual, sparse_float_bytes(nnz), nnz

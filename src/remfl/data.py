@@ -85,7 +85,7 @@ class ClientDataset:
     rc_test: np.ndarray
     coord_min: np.ndarray  # (2,)
     coord_max: np.ndarray  # (2,)
-    label_mean: np.ndarray  # scalar array () or per-BS (M,)
+    label_mean: np.ndarray  # scalar array (): one mean and std per client
     label_std: np.ndarray
 
     @property
@@ -126,14 +126,14 @@ class SyntheticMapConfig:
     obstacle_density: float = 0.05
     path_loss_exp: float = 3.0
     shadowing_db: float = 6.0
-    shadow_corr_cells: float = 8.0
     tx_power_db: float = -30.0
-    obstacle_penalty_db: float = 2.5
-    noise_feature_channels: int = 6
     floor_db: float = DEFAULT_FLOOR_DB
 
 
 _RAY_SAMPLES = 32  # points sampled along each BS-to-cell ray
+_SHADOW_CORR_CELLS = 8.0  # Gaussian smoothing width of the shadowing field
+_OBSTACLE_PENALTY_DB = 2.5  # per cell of ray length through obstacles
+_NOISE_FEATURE_CHANNELS = 6  # smoothed-noise feature layers
 
 
 def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
@@ -179,10 +179,10 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
                 pr = np.clip(np.rint(r0 + t * (rr - r0)).astype(int), 0, h - 1)
                 pc = np.clip(np.rint(c0 + t * (cc - c0)).astype(int), 0, w - 1)
                 hits += obstacles[pr, pc]
-            s = s - cfg.obstacle_penalty_db * (hits / _RAY_SAMPLES) * d
+            s = s - _OBSTACLE_PENALTY_DB * (hits / _RAY_SAMPLES) * d
         if cfg.shadowing_db > 0.0:
             shadow = gaussian_filter(rng.standard_normal((h, w)),
-                                     cfg.shadow_corr_cells)
+                                     _SHADOW_CORR_CELLS)
             std = shadow.std()
             if std > 0:
                 shadow = shadow / std * cfg.shadowing_db
@@ -194,7 +194,7 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
     dist_all = np.stack([np.hypot(rr - tx[m, 0], cc - tx[m, 1])
                          for m in range(cfg.n_bs)])
     feat_layers.append(dist_all.min(axis=0) / math.hypot(h, w))
-    n_noise = min(cfg.noise_feature_channels, max(0, cfg.n_features - 2))
+    n_noise = min(_NOISE_FEATURE_CHANNELS, max(0, cfg.n_features - 2))
     for _ in range(n_noise):
         feat_layers.append(gaussian_filter(rng.standard_normal((h, w)), 4.0))
     for i, layer in enumerate(feat_layers[:cfg.n_features]):
@@ -315,8 +315,9 @@ def scenario_filter(field: HeterogeneityField, scenario: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def normalize_client(client_id, tile, coords, feats, labels,
-                     train_idx, test_idx, per_bs=False) -> ClientDataset:
-    """Min-max coords / z-score labels using training-split statistics only."""
+                     train_idx, test_idx) -> ClientDataset:
+    """Min-max coords / z-score labels using training-split statistics only:
+    one label mean and std over all of the client's training signals."""
     if train_idx.size < 2:
         raise DegenerateClientError(
             f"client {client_id}: fewer than 2 training samples")
@@ -326,10 +327,9 @@ def normalize_client(client_id, tile, coords, feats, labels,
     norm = np.clip((coords - cmin) / span, 0.0, 1.0)
 
     train_labels = labels[train_idx]
-    axis = 0 if per_bs else None
-    mu = np.asarray(train_labels.mean(axis=axis))
-    sd = np.asarray(train_labels.std(axis=axis))
-    if np.any(sd <= 0):
+    mu = np.asarray(train_labels.mean())
+    sd = np.asarray(train_labels.std())
+    if sd <= 0:
         raise DegenerateClientError(
             f"client {client_id}: zero label variance")
     y = (labels - mu) / sd
@@ -350,7 +350,7 @@ def denormalize(pred, stats_mean, stats_std):
 
 def grid_partition(grid: RadioMapGrid, field: HeterogeneityField,
                    scenario: str, rows=10, cols=9, neighbor_mix=0.1,
-                   seed=0, train_frac=0.8, per_bs=False) -> ScenarioPartition:
+                   seed=0, train_frac=0.8) -> ScenarioPartition:
     """Bucket the scenario's cells into rows x cols geographic clients.
 
     Each sample lands in exactly one client: a neighbor_mix fraction of
@@ -409,7 +409,7 @@ def grid_partition(grid: RadioMapGrid, field: HeterogeneityField,
         train_idx = np.sort(order[n_test:])
         clients.append(normalize_client(
             k, (k // cols, k % cols), coords, feats, labels,
-            train_idx, test_idx, per_bs=per_bs))
+            train_idx, test_idx))
 
     total = sum(c.n_train + c.n_test for c in clients)
     assert total == cells.shape[0], "partition lost or duplicated samples"
@@ -513,14 +513,9 @@ def export_partition(partition: ScenarioPartition, outdir):
                  ("coord_min_row", _fmt(c.coord_min[0])),
                  ("coord_min_col", _fmt(c.coord_min[1])),
                  ("coord_max_row", _fmt(c.coord_max[0])),
-                 ("coord_max_col", _fmt(c.coord_max[1]))]
-        mu = np.atleast_1d(c.label_mean)
-        sd = np.atleast_1d(c.label_std)
-        if mu.size == 1:
-            stats += [("label_mean", _fmt(mu[0])), ("label_std", _fmt(sd[0]))]
-        else:
-            stats += [(f"label_mean_{i+1}", _fmt(mu[i])) for i in range(mu.size)]
-            stats += [(f"label_std_{i+1}", _fmt(sd[i])) for i in range(sd.size)]
+                 ("coord_max_col", _fmt(c.coord_max[1])),
+                 ("label_mean", _fmt(c.label_mean)),
+                 ("label_std", _fmt(c.label_std))]
         write_kv(os.path.join(cdir, "stats.txt"), stats)
 
 
@@ -536,11 +531,20 @@ def _field(kv, key, cast, path):
             f"{path}: bad value {kv[key]!r} for key {key!r}") from None
 
 
+def _read_utf8(read, path, *args):
+    """``read(path, *args)``; a file that is not UTF-8 is an IngestionError
+    naming it."""
+    try:
+        return read(path, *args)
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not UTF-8 text") from None
+
+
 def load_partition(indir) -> ScenarioPartition:
     meta_path = os.path.join(indir, "partition.txt")
     if not os.path.exists(meta_path):
         raise IngestionError(f"no partition.txt under {indir}")
-    meta = read_kv(meta_path)
+    meta = _read_utf8(read_kv, meta_path)
     n_bs = _field(meta, "bs", int, meta_path)
     n_features = _field(meta, "features", int, meta_path)
     n_clients = _field(meta, "clients", int, meta_path)
@@ -548,21 +552,14 @@ def load_partition(indir) -> ScenarioPartition:
     for k in range(n_clients):
         cdir = os.path.join(indir, f"client_{k:03d}")
         stats_path = os.path.join(cdir, "stats.txt")
-        stats = read_kv(stats_path)
+        stats = _read_utf8(read_kv, stats_path)
 
         def num(key):
             return _field(stats, key, float, stats_path)
 
-        rc_tr, x_tr, y_tr = _read_samples_csv(
-            os.path.join(cdir, "train.csv"), n_features, n_bs)
-        rc_te, x_te, y_te = _read_samples_csv(
-            os.path.join(cdir, "test.csv"), n_features, n_bs)
-        if "label_mean" in stats:
-            mu = np.asarray(num("label_mean"))
-            sd = np.asarray(num("label_std"))
-        else:
-            mu = np.array([num(f"label_mean_{i+1}") for i in range(n_bs)])
-            sd = np.array([num(f"label_std_{i+1}") for i in range(n_bs)])
+        (rc_tr, x_tr, y_tr), (rc_te, x_te, y_te) = [
+            _read_utf8(_read_samples_csv, os.path.join(cdir, f"{split}.csv"),
+                       n_features, n_bs) for split in ("train", "test")]
         clients.append(ClientDataset(
             client_id=k,
             tile=(_field(stats, "tile_row", int, stats_path),
@@ -571,7 +568,8 @@ def load_partition(indir) -> ScenarioPartition:
             rc_train=rc_tr, rc_test=rc_te,
             coord_min=np.array([num("coord_min_row"), num("coord_min_col")]),
             coord_max=np.array([num("coord_max_row"), num("coord_max_col")]),
-            label_mean=mu, label_std=sd))
+            label_mean=np.asarray(num("label_mean")),
+            label_std=np.asarray(num("label_std"))))
     return ScenarioPartition(
         _field(meta, "scenario", str, meta_path), clients,
         _field(meta, "rows", int, meta_path),

@@ -2,17 +2,19 @@
 and server aggregation, in one round loop.
 
 At a sync round (t mod R == 0) each sampled client resyncs to the broadcast
-model, trains, and uploads its delta, which the server averages in; between
-syncs clients train on from their local state.  ``pfl`` runs the loop with
-every component on: personal heads (``split_head``), error feedback + Top-K,
-8-bit quantization, periodic sync and an EMA shadow for evaluation.
-``fedavg`` is the same loop with the ``FEDAVG`` preset: those five off and a
-single-layer head, i.e. one global model uploaded dense every round.
+model, trains, and uploads its delta through ``compression.transmit``; the
+server averages what it receives.  Between syncs clients train on from
+their local state.  ``pfl`` runs the loop with every component on: personal
+heads (``split_head``), error feedback + Top-K, 8-bit quantization, periodic
+sync and an EMA shadow for evaluation.  ``fedavg`` is the same loop with the
+``FEDAVG`` preset: those five off and a single-layer head, i.e. one global
+model uploaded dense every round.
 
-A client whose training diverges, or whose upload cannot be quantized, is
-rolled back to its parameters at the start of the round with a fresh
-optimizer (zero Adam moments, step 0), and skipped for that round.  Heads
-leave a run as flat vectors, slices of the client stores.
+A client whose training diverges, or whose upload the wire cannot carry (a
+QUP1 scale or a float32 value out of range), is rolled back to its
+parameters at the start of the round with a fresh optimizer (zero Adam
+moments, step 0), and skipped for that round.  Heads leave a run as flat
+vectors, slices of the client stores.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class ClientState:
 
     client_id: int
     params: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray | None  # error feedback; None without Top-K
     adam: nn.AdamState
     rng: np.random.Generator
     dataset: object
@@ -180,24 +182,23 @@ def _model_dims(partition, cfg: RunConfig) -> nn.ModelDims:
         head=cfg.head, head_hidden=cfg.head_hidden, dropout=cfg.dropout)
 
 
-def _client_states(partition, cfg: RunConfig, dims, start, residual_len):
+def _client_states(partition, cfg: RunConfig, dims, start):
     """One state per client, each on its own store.  The backbone comes from
     ``start``, and so does the head when ``start`` holds one; otherwise each
-    client draws its own personal head."""
+    client draws its own personal head.  Error feedback carries only what
+    Top-K drops, so without Top-K there is no residual."""
     lb = nn.backbone_size(dims)
     states = []
     for ds in partition.clients:
         p = np.empty(lb + nn.head_size(dims))
-        p[:lb] = start[:lb]
-        if start.size > lb:
-            p[lb:] = start[lb:]
-        else:
+        p[:start.size] = start
+        if start.size == lb:
             p[lb:] = nn.flatten_head(
                 nn.init_head(dims, _client_rng(cfg, 1000 + ds.client_id)))
         states.append(ClientState(
             client_id=ds.client_id,
             params=p,
-            residual=np.zeros(residual_len),
+            residual=np.zeros(start.size) if cfg.topk else None,
             adam=nn.adam_init(p.size),
             rng=_client_rng(cfg, ds.client_id),
             dataset=ds))
@@ -292,9 +293,7 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
             global_flat,
             nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
 
-    # Error feedback carries only what Top-K drops: without Top-K, nothing.
-    states = _client_states(partition, cfg, dims, global_flat,
-                            upload_len if cfg.topk else 0)
+    states = _client_states(partition, cfg, dims, global_flat)
     work = np.empty((3, lb + lh))  # see local_train
     # The training client's params at the start of its round.
     saved = np.empty(lb + lh)
@@ -331,33 +330,19 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
                 local_train(st, cfg, dims, work)
                 if not sync:
                     continue
-                upload = st.params[:upload_len] - global_flat
-                if cfg.topk:
-                    u = comp.accumulate(upload, st.residual)
-                    upload = comp.top_k(u, k)
-                if cfg.quantization:
-                    q = comp.quantize(upload, st.client_id, t)
-            except (TrainingDiverged, comp.CodecError) as exc:
+                update, residual, n_bytes, nnz = comp.transmit(
+                    st.params[:upload_len] - global_flat, st.residual, k,
+                    cfg.quantization, st.client_id, t)
+            except (TrainingDiverged, comp.UnencodableUpdate) as exc:
                 log.warning("round %d: %s; client skipped and rolled back",
                             t, exc)
                 st.params[:] = saved
                 st.adam = nn.adam_init(saved.size)
                 continue
-            if cfg.topk:
-                st.residual = comp.residual_update(u, upload)
-            if cfg.quantization:
-                payload = comp.encode(q)
-                cum_bytes += len(payload)
-                q = comp.decode(payload)
-                nnz_total += q.nnz
-                upload = comp.dequantize(q)
-            elif cfg.topk:
-                nnz = int(np.count_nonzero(upload))
-                cum_bytes += comp.sparse_float_bytes(nnz)
-                nnz_total += nnz
-            else:
-                cum_bytes += comp.dense_bytes(upload_len)
-            updates.append(upload)
+            st.residual = residual
+            updates.append(update)
+            cum_bytes += n_bytes
+            nnz_total += nnz
             n_payloads += 1
         if updates:
             global_flat = aggregate(global_flat, updates)

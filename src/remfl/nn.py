@@ -2,10 +2,11 @@
 
 Everything is plain numpy in float64: a three-layer MLP backbone
 (bias -> SiLU -> LayerNorm per layer, normalization applied after the
-activation) producing a latent vector, plus a per-client head that is either
-a single linear layer or a small two-layer MLP with inverted dropout.
-Gradients are hand-written reverse mode; the optimizer is Adam with bias
-correction, updating a flat parameter vector and its moments in place.
+activation) producing a latent vector, plus a per-client head of dense
+layers with SiLU between them: one for ``single``, two for ``two-layer``,
+which also has inverted dropout on its input.  Gradients are hand-written
+reverse mode; the optimizer is Adam with bias correction, updating a flat
+parameter vector and its moments in place.
 
 A model can live in one contiguous vector in the frozen wire order (see
 "Flat store" below): ``backbone_view``/``head_view`` give BackboneParams and
@@ -72,15 +73,11 @@ class BackboneParams:
 
 @dataclass
 class HeadParams:
-    """Per-client output head mapping the latent vector to M signal values."""
+    """Per-client output head mapping the latent vector to M signal values:
+    one weight (out, in) and one bias per dense layer."""
 
-    variant: str
-    w_out: np.ndarray | None = None
-    b_out: np.ndarray | None = None
-    w1: np.ndarray | None = None
-    b1: np.ndarray | None = None
-    w2: np.ndarray | None = None
-    b2: np.ndarray | None = None
+    weights: list
+    biases: list
     dropout: float = 0.0
 
 
@@ -114,36 +111,25 @@ def layer_norm(x, gain, shift, eps=LN_EPS):
 
 def init_backbone(dims: ModelDims, rng: np.random.Generator) -> BackboneParams:
     """Kaiming-uniform weights, zero biases, identity LayerNorm affine."""
-    widths = [dims.hidden1, dims.hidden2, dims.latent]
-    fan_ins = [dims.in_dim, dims.hidden1, dims.hidden2]
-    weights, biases, gains, shifts = [], [], [], []
-    for out_w, fan_in in zip(widths, fan_ins):
-        bound = math.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(out_w, fan_in)))
-        biases.append(np.zeros(out_w))
-        gains.append(np.ones(out_w))
-        shifts.append(np.zeros(out_w))
-    return BackboneParams(weights, biases, gains, shifts)
+    p = backbone_view(np.zeros(backbone_size(dims)), dims)
+    _kaiming_uniform(p.weights, rng)
+    for g in p.gains:
+        g[:] = 1.0
+    return p
 
 
 def init_head(dims: ModelDims, rng: np.random.Generator) -> HeadParams:
-    if dims.head == "single":
-        bound = math.sqrt(6.0 / dims.latent)
-        return HeadParams(
-            "single",
-            w_out=rng.uniform(-bound, bound, size=(dims.n_outputs, dims.latent)),
-            b_out=np.zeros(dims.n_outputs),
-        )
-    b1 = math.sqrt(6.0 / dims.latent)
-    b2 = math.sqrt(6.0 / dims.head_hidden)
-    return HeadParams(
-        "two-layer",
-        w1=rng.uniform(-b1, b1, size=(dims.head_hidden, dims.latent)),
-        b1=np.zeros(dims.head_hidden),
-        w2=rng.uniform(-b2, b2, size=(dims.n_outputs, dims.head_hidden)),
-        b2=np.zeros(dims.n_outputs),
-        dropout=dims.dropout,
-    )
+    """Kaiming-uniform weights, zero biases."""
+    p = head_view(np.zeros(head_size(dims)), dims)
+    _kaiming_uniform(p.weights, rng)
+    return p
+
+
+def _kaiming_uniform(weights, rng):
+    """Each (out, in) weight drawn from U(-sqrt(6/in), sqrt(6/in)), in order."""
+    for w in weights:
+        bound = math.sqrt(6.0 / w.shape[1])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
 
 
 def _rows(a, width, what):
@@ -198,46 +184,43 @@ def backbone_backward(params: BackboneParams, cache, dz, grads):
 
 
 def head_forward(params: HeadParams, z, training=False, rng=None):
-    """Head pass over a batch of latent rows; dropout is inverted-scaled at
-    train time, identity at eval."""
-    if params.variant == "single":
-        z = _rows(z, params.w_out.shape[1], "single head input")
-        return z @ params.w_out.T + params.b_out, {"z": z}
-    z = _rows(z, params.w1.shape[1], "two-layer head input")
+    """Head pass over a batch of latent rows; dropout on the latent input is
+    inverted-scaled at train time, identity at eval.  The cache holds the
+    dropout mask (None without dropout), each layer's input, and each hidden
+    layer's (pre-activation, sigmoid)."""
+    cur = _rows(z, params.weights[0].shape[1], "head input")
     mask = None
-    zd = z
     if training and params.dropout > 0.0:
         if rng is None:
             raise ParameterError("training dropout requires an rng")
         keep = 1.0 - params.dropout
-        mask = (rng.random(z.shape) < keep) / keep
-        zd = z * mask
-    a1 = zd @ params.w1.T + params.b1
-    s1 = expit(a1)
-    h1 = a1 * s1
-    pred = h1 @ params.w2.T + params.b2
-    return pred, {"zd": zd, "mask": mask, "a1": a1, "s1": s1, "h1": h1}
+        mask = (rng.random(cur.shape) < keep) / keep
+        cur = cur * mask
+    inputs, acts = [], []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        inputs.append(cur)
+        a = cur @ w.T + b
+        sig = expit(a)
+        acts.append((a, sig))
+        cur = a * sig
+    inputs.append(cur)
+    pred = cur @ params.weights[-1].T + params.biases[-1]
+    return pred, {"mask": mask, "inputs": inputs, "acts": acts}
 
 
 def head_backward(params: HeadParams, cache, dpred, grads):
     """Writes the head's gradients into ``grads`` (a HeadParams of float64
     arrays); returns (grads, dL/dz)."""
-    if params.variant == "single":
-        dp = _rows(dpred, params.w_out.shape[0], "head_backward")
-        np.matmul(dp.T, cache["z"], out=grads.w_out)
-        np.sum(dp, axis=0, out=grads.b_out)
-        return grads, dp @ params.w_out
-    dp = _rows(dpred, params.w2.shape[0], "head_backward")
-    dh1 = dp @ params.w2
-    np.matmul(dp.T, cache["h1"], out=grads.w2)
-    np.sum(dp, axis=0, out=grads.b2)
-    da1 = dh1 * silu_grad(cache["a1"], cache["s1"])
-    np.matmul(da1.T, cache["zd"], out=grads.w1)
-    np.sum(da1, axis=0, out=grads.b1)
-    dz = da1 @ params.w1
+    d = _rows(dpred, params.weights[-1].shape[0], "head_backward")
+    for i in reversed(range(len(params.weights))):
+        if i < len(cache["acts"]):
+            d = d * silu_grad(*cache["acts"][i])
+        np.matmul(d.T, cache["inputs"][i], out=grads.weights[i])
+        np.sum(d, axis=0, out=grads.biases[i])
+        d = d @ params.weights[i]
     if cache["mask"] is not None:
-        dz = dz * cache["mask"]
-    return grads, dz
+        d = d * cache["mask"]
+    return grads, d
 
 
 def backward(backbone: BackboneParams, head: HeadParams, bcache, hcache, dpred,
@@ -258,7 +241,7 @@ def backward(backbone: BackboneParams, head: HeadParams, bcache, hcache, dpred,
     views = _carve(out, [a.shape for a in arrays])
     nb = 4 * len(backbone.weights)
     gb = _as_backbone(views[:nb])
-    gh = _as_head(head.variant, views[nb:], head.dropout)
+    gh = _as_head(views[nb:], head.dropout)
     _, dz = head_backward(head, hcache, dpred, gh)
     backbone_backward(backbone, bcache, dz, gb)
     return gb, gh
@@ -289,46 +272,42 @@ def huber_grad(pred, target, delta=1.0):
 # ---------------------------------------------------------------------------
 # Flat store.  The canonical ordering is frozen because flat indices cross
 # the wire: per backbone layer W, b, gain, shift (row-major), layers in
-# order; head appended (single: w_out, b_out; two-layer: w1, b1, w2, b2).
+# order; then per head layer W, b.
 # ---------------------------------------------------------------------------
 
 def _backbone_arrays(p: BackboneParams):
-    out = []
-    for i in range(len(p.weights)):
-        out.extend([p.weights[i], p.biases[i], p.gains[i], p.shifts[i]])
-    return out
+    return [a for layer in zip(p.weights, p.biases, p.gains, p.shifts)
+            for a in layer]
 
 
 def _head_arrays(p: HeadParams):
-    if p.variant == "single":
-        return [p.w_out, p.b_out]
-    return [p.w1, p.b1, p.w2, p.b2]
+    return [a for layer in zip(p.weights, p.biases) for a in layer]
 
 
 def _as_backbone(arrays) -> BackboneParams:
     return BackboneParams(arrays[0::4], arrays[1::4], arrays[2::4], arrays[3::4])
 
 
-def _as_head(variant, arrays, dropout=0.0) -> HeadParams:
-    if variant == "single":
-        return HeadParams("single", w_out=arrays[0], b_out=arrays[1])
-    return HeadParams("two-layer", w1=arrays[0], b1=arrays[1], w2=arrays[2],
-                      b2=arrays[3], dropout=dropout)
+def _as_head(arrays, dropout) -> HeadParams:
+    return HeadParams(arrays[0::2], arrays[1::2], dropout)
+
+
+def _layer_shapes(dims: ModelDims):
+    """(out, in) of every dense layer: the backbone's, then the head's."""
+    hidden = [dims.head_hidden] if dims.head == "two-layer" else []
+    backbone = [dims.in_dim, dims.hidden1, dims.hidden2, dims.latent]
+    head = [dims.latent, *hidden, dims.n_outputs]
+    return (list(zip(backbone[1:], backbone[:-1])),
+            list(zip(head[1:], head[:-1])))
 
 
 def _backbone_shapes(dims: ModelDims):
-    widths = [dims.hidden1, dims.hidden2, dims.latent]
-    fan_ins = [dims.in_dim, dims.hidden1, dims.hidden2]
-    return [shape for w, f in zip(widths, fan_ins)
-            for shape in ((w, f), (w,), (w,), (w,))]
+    return [shape for o, i in _layer_shapes(dims)[0]
+            for shape in ((o, i), (o,), (o,), (o,))]
 
 
 def _head_shapes(dims: ModelDims):
-    m, l = dims.n_outputs, dims.latent
-    if dims.head == "single":
-        return [(m, l), (m,)]
-    h = dims.head_hidden
-    return [(h, l), (h,), (m, h), (m,)]
+    return [shape for o, i in _layer_shapes(dims)[1] for shape in ((o, i), (o,))]
 
 
 def _carve(flat, shapes):
@@ -366,11 +345,13 @@ def backbone_view(flat: np.ndarray, dims: ModelDims) -> BackboneParams:
 
 
 def head_view(flat: np.ndarray, dims: ModelDims) -> HeadParams:
-    """The head whose arrays are views of ``flat``: writes go through."""
+    """The head whose arrays are views of ``flat``: writes go through.  A
+    one-layer head has no dropout."""
     if flat.size != head_size(dims):
         raise DimensionError(
             f"flat length {flat.size} != head size {head_size(dims)}")
-    return _as_head(dims.head, _carve(flat, _head_shapes(dims)), dims.dropout)
+    views = _carve(flat, _head_shapes(dims))
+    return _as_head(views, dims.dropout if len(views) > 2 else 0.0)
 
 
 def unflatten_backbone(flat: np.ndarray, dims: ModelDims) -> BackboneParams:

@@ -257,12 +257,17 @@ def test_print_config_with_fuzzed_flags_exits_0_or_1(flags):
     assert cli.main(argv) in (0, 1)
 
 
-def test_train_unquantizable_updates_are_skipped(workspace, tmp_path, caplog):
-    # lr=1e300 gives updates beyond the float32 range of the QUP1 scale.
+@pytest.mark.parametrize("flags", [
+    [], ["--mode", "fedavg"], ["--ablate", "no-quantization"],
+], ids=["pfl", "fedavg", "no-quantization"])
+def test_train_unquantizable_updates_are_skipped(workspace, tmp_path, caplog,
+                                                 flags):
+    # lr=1e300 gives updates beyond float32: beyond the range of the QUP1
+    # scale, of the dense float32 vector and of the Top-K float32 values.
     out = tmp_path / "run"
     rc = cli.main(["train", "--partition", workspace["part"],
                    "--config", workspace["cfg"], *TINY_TRAIN, "--lr", "1e300",
-                   "--batch-size", "100000", "-o", str(out)])
+                   "--batch-size", "100000", *flags, "-o", str(out)])
     assert rc == 0
     assert np.all(np.isfinite(np.load(out / "backbone.npz")["global_flat"]))
     _, rows = fed.read_roundlog(out / "roundlog.csv")
@@ -429,3 +434,20 @@ def test_train_malformed_sample_row_is_data_error(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "data error" in err and "train.csv" in err
     assert "line 3" in err and what in err
+
+
+@pytest.mark.parametrize("name", [
+    "client_000/train.csv", "client_001/stats.txt", "partition.txt",
+])
+def test_train_non_utf8_partition_file_is_data_error(workspace, tmp_path,
+                                                      capsys, name):
+    part = _copy_partition(workspace, tmp_path)
+    with open(part / name, "ab") as f:
+        f.write(b"\xe4\xe4")
+    rc = cli.main(["train", "--partition", str(part),
+                   "--config", workspace["cfg"], *TINY_TRAIN,
+                   "-o", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and name.split("/")[-1] in err
+    assert "not UTF-8" in err

@@ -160,6 +160,19 @@ def test_quantize_largest_float32_scale_is_accepted():
     assert q.scale == top and q.qvalues[0] == comp.QMAX
 
 
+def test_quantize_scale_underflow_sends_empty_payload():
+    # max|v|/127 rounds to float32 zero: every entry would dequantize to 0.
+    q = comp.quantize(np.array([1e-50, 0.0, -3e-50]))
+    assert q.nnz == 0 and q.scale == 0.0 and q.length == 3
+    assert len(comp.encode(q)) == comp.HEADER_BYTES
+
+
+def test_quantize_smallest_float32_scale_is_accepted():
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    q = comp.quantize(np.array([tiny * comp.QMAX, 0.0]))
+    assert q.scale == tiny and q.qvalues.tolist() == [comp.QMAX]
+
+
 def test_dequantize_bound_and_sign():
     for _ in range(100):
         v = np.zeros(64)
@@ -290,6 +303,60 @@ def test_encode_rejects_wide_client_id():
     q = comp.quantize(np.zeros(4), client_id=300)
     with pytest.raises(comp.CodecError):
         comp.encode(q)
+
+
+# ---------------------------------------------------------------------------
+# transmit: one client's whole uplink
+# ---------------------------------------------------------------------------
+
+WIRE_FORMS = {  # id -> (Top-K, quantized, bytes for n entries of k kept)
+    "qup1": (True, True, lambda n, k: comp.HEADER_BYTES + 5 * k),
+    "topk-float32": (True, False, lambda n, k: comp.HEADER_BYTES + 8 * k),
+    "dense": (False, False, lambda n, k: 4 * n),
+}
+
+
+@pytest.mark.parametrize("topk, quantized, size", WIRE_FORMS.values(),
+                         ids=WIRE_FORMS.keys())
+def test_transmit_wire_forms(topk, quantized, size):
+    rng = np.random.default_rng(5)
+    n, k = 200, 10
+    delta = rng.normal(size=n)
+    residual = rng.normal(size=n) * 0.1 if topk else None
+    before = None if residual is None else residual.copy()
+    update, new_residual, n_bytes, nnz = comp.transmit(
+        delta, residual, k, quantized, client_id=4, round_no=2)
+    assert n_bytes == size(n, k)
+    assert nnz == (k if topk else 0)
+    if not topk:
+        assert new_residual is None
+        assert np.array_equal(update, delta)
+    elif not quantized:
+        assert np.array_equal(update + new_residual, delta + residual)
+    else:
+        sent = comp.top_k(delta + residual, k)
+        assert np.array_equal(new_residual, delta + residual - sent)
+        assert np.array_equal(update, comp.dequantize(comp.quantize(sent)))
+    if topk:
+        assert np.array_equal(residual, before)
+
+    delta[3] = 1e300  # beyond float32: the wire cannot carry it
+    with pytest.raises(comp.UnencodableUpdate):
+        comp.transmit(delta, residual, k, quantized)
+    if topk:
+        assert np.array_equal(residual, before)
+
+
+def test_transmit_rejects_dense_nan():
+    with pytest.raises(comp.UnencodableUpdate, match="client 2"):
+        comp.transmit(np.array([1.0, np.nan]), None, 2, False, client_id=2)
+
+
+def test_transmit_wide_client_id_is_not_an_unencodable_update():
+    # A client id beyond one byte is a caller's error, not a client to skip.
+    with pytest.raises(comp.CodecError) as info:
+        comp.transmit(np.ones(3), None, 3, True, client_id=256)
+    assert not isinstance(info.value, comp.UnencodableUpdate)
 
 
 # ---------------------------------------------------------------------------

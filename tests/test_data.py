@@ -282,15 +282,6 @@ def test_zero_variance_client_rejected():
         dat.normalize_client(0, (0, 0), coords, feats, labels, tr, te)
 
 
-def test_per_bs_normalization_option():
-    coords, feats, labels, tr, te = _norm_inputs()
-    ds = dat.normalize_client(0, (0, 0), coords, feats, labels, tr, te,
-                              per_bs=True)
-    assert ds.label_mean.shape == (3,)
-    assert np.allclose(ds.y_train.mean(axis=0), 0.0, atol=1e-9)
-    assert np.allclose(ds.y_train.std(axis=0), 1.0, atol=1e-9)
-
-
 @pytest.mark.parametrize("file,key,value", [
     ("partition.txt", "bs", None),
     ("partition.txt", "q66", "high"),

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remfl import compression as comp
 from remfl import data as dat
@@ -25,7 +27,7 @@ def one_client_state(partition, cfg, ds):
     start = nn.flatten_backbone(
         nn.init_backbone(dims, np.random.default_rng(0)))
     one = dataclasses.replace(partition, clients=[ds])
-    [st] = fed._client_states(one, cfg, dims, start, 0)
+    [st] = fed._client_states(one, cfg, dims, start)
     return dims, st
 
 
@@ -171,7 +173,7 @@ def test_fedavg_single_client_delta(small_grid, small_field):
     bb = nn.init_backbone(dims, rngs)
     hd = nn.init_head(dims, np.random.default_rng([cfg.seed, 2]))
     start = np.concatenate([nn.flatten_backbone(bb), nn.flatten_head(hd)])
-    [st] = fed._client_states(part, cfg, dims, start, 0)
+    [st] = fed._client_states(part, cfg, dims, start)
     fed.local_train(st, cfg, dims)
     assert np.allclose(res.global_flat, st.params, atol=1e-12)
 
@@ -253,14 +255,18 @@ def test_roundlog_csv_schema(small_partition, tmp_path):
 # flat store and failure isolation
 # ---------------------------------------------------------------------------
 
-def test_aggregate_unweighted_equals_stacked_mean_bitwise():
-    rng = np.random.default_rng(3)
-    theta = rng.normal(size=1000)
-    for n in (1, 2, 6, 9):
-        updates = [rng.normal(size=1000) * rng.uniform(1e-6, 1e3)
-                   for _ in range(n)]
+@settings(max_examples=10)
+@given(data=st.data(), length=st.integers(1, 12), n=st.integers(1, 9))
+def test_aggregate_unweighted_equals_stacked_mean_bitwise(data, length, n):
+    vector = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=length, max_size=length).map(np.array)
+    theta = data.draw(vector)
+    updates = [data.draw(vector) for _ in range(n)]
+    # Sums of huge finite values overflow alike on both sides.
+    with np.errstate(over="ignore", invalid="ignore"):
         expect = theta + np.mean(np.stack(updates), axis=0)
-        assert np.array_equal(fed.aggregate(theta, updates), expect)
+        got = fed.aggregate(theta, updates)
+    assert np.array_equal(got, expect, equal_nan=True)
 
 
 def test_local_train_updates_store_in_place(small_partition):
@@ -386,7 +392,7 @@ def test_unquantizable_upload_rolls_back_and_keeps_residual(
 
     def quantize(update, client_id=0, round_no=0):
         if client_id == 1:
-            raise comp.CodecError("client 1: injected")
+            raise comp.UnencodableUpdate("client 1: injected")
         return real_quantize(update, client_id, round_no)
 
     monkeypatch.setattr(fed, "local_train", train)
@@ -400,3 +406,53 @@ def test_unquantizable_upload_rolls_back_and_keeps_residual(
     assert np.array_equal(st.params, seen["start"])
     assert not st.residual.any()  # error feedback as before the round
     assert not st.adam.m.any() and st.adam.step == 0
+
+
+class _SkipLog(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.rounds = []
+
+    def emit(self, record):
+        if "client skipped" in record.getMessage():
+            self.rounds.append(record.args[0])
+
+
+def _run_counting_adam_steps(partition, cfg, poison_at=None, index=0):
+    """(result, adam_step calls, skipped rounds); with ``poison_at``, the
+    gradient of that call (1-based) gets a NaN at ``index``."""
+    real = nn.adam_step
+    calls = []
+
+    def counted(state, params, grads, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == poison_at:
+            grads[index % grads.size] = np.nan
+        return real(state, params, grads, *args, **kwargs)
+
+    skips = _SkipLog()
+    logger = logging.getLogger(fed.__name__)
+    logger.addHandler(skips)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "adam_step", counted)
+            res = fed.run_training(partition, cfg)
+    finally:
+        logger.removeHandler(skips)
+    return res, len(calls), skips.rounds
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_one_injected_nan_costs_exactly_one_payload(small_partition, data):
+    cfg = tiny_cfg(rounds=2, sync_period=1)
+    clean, n_calls, clean_skips = _run_counting_adam_steps(small_partition,
+                                                           cfg)
+    assert clean_skips == []
+    at = data.draw(st.integers(1, n_calls))
+    index = data.draw(st.integers(0, 2**31))
+    res, _, skipped = _run_counting_adam_steps(small_partition, cfg, at,
+                                               index)
+    assert np.all(np.isfinite(res.global_flat))
+    assert res.final.n_payloads == clean.final.n_payloads - 1
+    assert len(skipped) == 1

@@ -123,7 +123,8 @@ def test_head_passes_reject_one_dimensional_input(head):
 
 def test_single_head_at_origin_is_bias():
     _, _, head = tiny_model(head="single")
-    head.b_out[:] = [1.0, -2.0]
+    assert len(head.weights) == 1 and head.dropout == 0.0  # dims say 0.1
+    head.biases[0][:] = [1.0, -2.0]
     pred, _ = nn.head_forward(head, np.zeros((1, 8)))
     assert np.allclose(pred, [[1.0, -2.0]])
 
@@ -139,9 +140,10 @@ def test_two_layer_head_eval_ignores_dropout():
 
 def test_two_layer_head_zero_weights_gives_bias():
     _, _, head = tiny_model()
-    head.w1[:] = 0.0
-    head.w2[:] = 0.0
-    head.b2[:] = [0.5, 0.25]
+    assert len(head.weights) == 2
+    for w in head.weights:
+        w[:] = 0.0
+    head.biases[1][:] = [0.5, 0.25]
     pred, _ = nn.head_forward(head, RNG.normal(size=(1, 8)))
     assert np.allclose(pred, [[0.5, 0.25]])
 
@@ -156,7 +158,8 @@ def test_dropout_inverted_scaling():
     # kept entries are scaled by 1/(1-rate) so E[D(z)] = z
     for c in caches[:10]:
         assert set(np.unique(c["mask"])) <= {0.0, 2.0}
-    mean_zd = np.mean([c["zd"] for c in caches], axis=0)
+        assert np.array_equal(c["inputs"][0], z * c["mask"])
+    mean_zd = np.mean([c["inputs"][0] for c in caches], axis=0)
     assert np.allclose(mean_zd, z, atol=0.15)
 
 
@@ -361,8 +364,9 @@ def test_backward_into_buffer_equals_allocating_backward(head):
     buf = np.full(nn.backbone_size(dims) + nn.head_size(dims), np.nan)
     vb, vh = nn.backward(bb, hd, bc, hc, seed, out=buf)
     assert np.array_equal(buf, _flat_params(bg, hg))
-    last = vh.b_out if head == "single" else vh.b2
-    assert all(np.shares_memory(a, buf) for a in vb.weights + [last])
+    assert len(vh.weights) == (1 if head == "single" else 2)
+    assert all(np.shares_memory(a, buf)
+               for a in vb.weights + vh.weights + [vh.biases[-1]])
 
 
 def test_backward_rejects_wrong_buffer():
@@ -388,7 +392,7 @@ def test_views_write_through_and_unflatten_copies():
     vh = nn.head_view(flat[lb:], dims)
     assert np.shares_memory(vb.weights[0], flat)
     vb.gains[1][0] = 42.0
-    vh.b2[-1] = -7.0
+    vh.biases[-1][-1] = -7.0
     assert np.array_equal(flat, _flat_params(vb, vh))
     assert np.count_nonzero(flat == 42.0) == 1 and flat[-1] == -7.0
     copy = nn.unflatten_backbone(flat[:lb], dims)
