@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import logging
+import math
 import os
 import sys
 
@@ -28,12 +29,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
+# --ablate name -> (config key, the value that switches the component off).
 ABLATIONS = {
     "no-split-head": ("split_head", False),
-    "no-periodic-sync": ("periodic_sync", False),
+    "no-periodic-sync": ("sync_period", 1),
     "no-topk": ("topk", False),
     "no-quantization": ("quantization", False),
-    "no-ema": ("ema", False),
+    "no-ema": ("ema_beta", 0.0),
 }
 
 
@@ -72,6 +74,14 @@ def _parse_value(what, raw, parse):
         raise UsageError(f"{what}: cannot parse {raw!r}")
 
 
+def _check_flags(checks):
+    """``checks`` holds (flag, value is in range, the range in words); the
+    first value out of range is a UsageError naming its flag."""
+    for flag, ok, need in checks:
+        if not ok:
+            raise UsageError(f"{flag} must be {need}")
+
+
 def load_config_file(path) -> dict:
     try:
         raw = dat.read_kv(path)
@@ -107,8 +117,17 @@ def cmd_gen_data(args) -> int:
         size = 64 if args.preset == "desk" else 256
     else:
         size = args.size
-    if size <= 0:
-        raise UsageError("--size must be positive")
+    _check_flags([
+        ("--size", size >= 1, ">= 1"),
+        ("--seed", args.seed >= 0, ">= 0"),
+        ("--bs", args.bs >= 1, ">= 1"),
+        ("--features", args.features >= 0, ">= 0"),
+        ("--shadowing", 0.0 <= args.shadowing < math.inf,
+         "finite and >= 0"),
+        ("--obstacle-density", 0.0 <= args.obstacle_density <= 1.0,
+         "in [0, 1]"),
+        ("--path-loss-exp", math.isfinite(args.path_loss_exp), "finite"),
+    ])
     tx = None
     if args.tx:
         tx = []
@@ -149,6 +168,11 @@ def cmd_partition(args) -> int:
         raise UsageError(f"scenario must be one of {dat.SCENARIOS}")
     clients = args.clients or ("3x4" if args.preset == "desk" else "10x9")
     rows, cols = _parse_clients(clients)
+    _check_flags([
+        ("--seed", args.seed >= 0, ">= 0"),
+        ("--mix", 0.0 <= args.mix <= 1.0, "in [0, 1]"),
+        ("--train-frac", 0.0 < args.train_frac < 1.0, "in (0, 1)"),
+    ])
     grid = dat.load_grid(args.map)
     field = dat.heterogeneity(grid)
     part = dat.grid_partition(grid, field, args.scenario, rows=rows,
@@ -194,13 +218,13 @@ def _save_models(result: fed.RunResult, outdir):
     np.savez(os.path.join(outdir, "heads.npz"), **heads)
 
 
-def _check_client_ids(partition, mode, quantized):
-    """A quantized pfl upload carries its client id in one byte (QUP1), so
-    refuse such a run on a larger partition before it trains."""
+def _check_client_ids(partition, cfgs):
+    """A quantized upload carries its client id in one byte (QUP1), so
+    refuse a run that quantizes on a larger partition before it trains."""
     limit = comp.MAX_CLIENT_ID + 1
-    if len(partition.clients) > limit and mode == "pfl" and quantized:
+    if len(partition.clients) > limit and any(c.quantization for c in cfgs):
         raise UsageError(
-            f"{len(partition.clients)} clients, but a quantized pfl upload "
+            f"{len(partition.clients)} clients, but a quantized upload "
             f"identifies at most {limit} (one-byte client id); use a "
             f"smaller client grid, --mode fedavg or --ablate no-quantization")
 
@@ -224,7 +248,7 @@ def cmd_train(args) -> int:
     if not args.partition or not args.out:
         raise UsageError("train requires --partition and -o")
     partition = dat.load_partition(args.partition)
-    _check_client_ids(partition, cfg.mode, cfg.quantization)
+    _check_client_ids(partition, [cfg])
     result = _run_and_export(partition, cfg, args.out, partition.scenario)
     final = result.final.bundle
     print(f"mode={cfg.mode} scenario={partition.scenario} "
@@ -239,42 +263,48 @@ def cmd_train(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _sweep_axis(flag, text, parse, cfg0, key):
+    """The comma-separated values of one sweep flag, each parsed and checked
+    as config ``key``; a bad one is a UsageError naming the flag."""
+    values = [_parse_value(flag, v, parse) for v in text.split(",")]
+    for v in values:
+        try:
+            dataclasses.replace(cfg0, **{key: v})
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}")
+    return values
+
+
 def cmd_sweep(args) -> int:
     cfg0 = build_run_config(args)
     if not args.partition or not args.out:
         raise UsageError("sweep requires --partition and -o")
-    rhos = [_parse_value("--rho-grid", v, float)
-            for v in args.rho_grid.split(",")]
-    periods = [_parse_value("--period-grid", v, int)
-               for v in args.period_grid.split(",")]
-    quants = [_parse_value("--quant-grid", v, _parse_bool)
-              for v in args.quant_grid.split(",")]
-    if not rhos or not periods or not quants:
-        raise UsageError("empty sweep grid")
+    rhos = _sweep_axis("--rho-grid", args.rho_grid, float, cfg0, "sparsity")
+    periods = _sweep_axis("--period-grid", args.period_grid, int, cfg0,
+                          "sync_period")
+    quants = _sweep_axis("--quant-grid", args.quant_grid, _parse_bool, cfg0,
+                         "quantization")
+    cells = [(f"rho{rho:g}_R{period}_q{'on' if quant else 'off'}",
+              dataclasses.replace(cfg0, sparsity=rho, sync_period=period,
+                                  quantization=quant,
+                                  topk=rho < 1.0 or cfg0.topk))
+             for rho in rhos for period in periods for quant in quants]
     partition = dat.load_partition(args.partition)
-    _check_client_ids(partition, cfg0.mode, any(quants))
+    _check_client_ids(partition, [cfg for _, cfg in cells])
     os.makedirs(args.out, exist_ok=True)
     points = []
-    for rho in rhos:
-        for period in periods:
-            for quant in quants:
-                label = f"rho{rho:g}_R{period}_q{'on' if quant else 'off'}"
-                cfg = dataclasses.replace(
-                    cfg0, sparsity=rho, sync_period=period,
-                    quantization=quant,
-                    topk=rho < 1.0 or cfg0.topk)
-                try:
-                    result = _run_and_export(
-                        partition, cfg, os.path.join(args.out, label),
-                        partition.scenario)
-                except Exception as exc:  # keep sweeping past bad cells
-                    log.warning("sweep cell %s failed: %s", label, exc)
-                    continue
-                points.append(met.ParetoPoint(
-                    label, result.final.bundle.rmse_macro,
-                    result.final.cum_bytes / 1e6))
-                print(f"{label}: rmse_macro={points[-1].rmse_macro:.4f} "
-                      f"mb={points[-1].uplink_mb:.4f}")
+    for label, cfg in cells:
+        try:
+            result = _run_and_export(partition, cfg,
+                                     os.path.join(args.out, label),
+                                     partition.scenario)
+        except Exception as exc:  # keep sweeping past bad cells
+            log.warning("sweep cell %s failed: %s", label, exc)
+            continue
+        points.append(met.ParetoPoint(label, result.final.bundle.rmse_macro,
+                                      result.final.cum_bytes / 1e6))
+        print(f"{label}: rmse_macro={points[-1].rmse_macro:.4f} "
+              f"mb={points[-1].uplink_mb:.4f}")
     if not points:
         raise RuntimeError("every sweep cell failed")
     met.write_pareto_csv(points, os.path.join(args.out, "pareto.csv"))

@@ -183,11 +183,6 @@ def decode(buf: bytes) -> QuantizedUpdate:
                            int(client_id), int(round_no))
 
 
-def uplink_bytes(q: QuantizedUpdate) -> int:
-    """Exact encoded size without materializing the bytes."""
-    return HEADER_BYTES + ENTRY_BYTES * q.nnz
-
-
 def sparse_float_bytes(nnz: int) -> int:
     """Accounting for the quantization-off ablation: u32 index + f32 value."""
     return HEADER_BYTES + 8 * nnz

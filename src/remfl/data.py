@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -52,18 +52,16 @@ class RadioMapGrid:
         return self.features.shape[0]
 
     def validate(self):
-        if self.signals.shape[1:] != (self.height, self.width):
-            raise IngestionError("signal layer dimensions do not match header")
-        if self.features.shape[1:] != (self.height, self.width):
-            raise IngestionError("feature layer dimensions do not match header")
-        if not np.all(np.isfinite(self.signals)):
-            bad = np.argwhere(~np.isfinite(self.signals))[0]
-            raise IngestionError(
-                f"non-finite signal at layer {bad[0]}, cell ({bad[1]}, {bad[2]})")
-        if not np.all(np.isfinite(self.features)):
-            bad = np.argwhere(~np.isfinite(self.features))[0]
-            raise IngestionError(
-                f"non-finite feature at layer {bad[0]}, cell ({bad[1]}, {bad[2]})")
+        for name, layers in (("signal", self.signals),
+                             ("feature", self.features)):
+            if layers.shape[1:] != (self.height, self.width):
+                raise IngestionError(
+                    f"{name} layer dimensions do not match header")
+            finite = np.isfinite(layers)
+            if not finite.all():
+                layer, r, c = np.argwhere(~finite)[0]
+                raise IngestionError(
+                    f"non-finite {name} at layer {layer}, cell ({r}, {c})")
 
 
 @dataclass
@@ -255,29 +253,6 @@ def save_grid_csv(grid: RadioMapGrid, path):
                 f.write(",".join(vals) + "\n")
 
 
-def load_grid_csv(path) -> RadioMapGrid:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        m = sum(1 for c in header if c.startswith("s"))
-        p = sum(1 for c in header if c.startswith("f"))
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    if not rows:
-        raise IngestionError("empty grid CSV")
-    rc = np.array([[int(v[0]), int(v[1])] for v in rows])
-    h, w = rc[:, 0].max() + 1, rc[:, 1].max() + 1
-    if len(rows) != h * w:
-        raise IngestionError(f"grid CSV has {len(rows)} rows, expected {h * w}")
-    signals = np.zeros((m, h, w))
-    features = np.zeros((p, h, w))
-    for v in rows:
-        r, c = int(v[0]), int(v[1])
-        signals[:, r, c] = [float(x) for x in v[2:2 + m]]
-        features[:, r, c] = [float(x) for x in v[2 + m:2 + m + p]]
-    grid = RadioMapGrid(int(w), int(h), signals, features)
-    grid.validate()
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # Heterogeneity metric and scenarios.
 # ---------------------------------------------------------------------------
@@ -341,11 +316,6 @@ def normalize_client(client_id, tile, coords, feats, labels,
         rc_train=coords[train_idx].astype(int),
         rc_test=coords[test_idx].astype(int),
         coord_min=cmin, coord_max=cmax, label_mean=mu, label_std=sd)
-
-
-def denormalize(pred, stats_mean, stats_std):
-    """Back to dB scale: y = pred * sigma + mu."""
-    return np.asarray(pred) * stats_std + stats_mean
 
 
 def grid_partition(grid: RadioMapGrid, field: HeterogeneityField,
@@ -531,6 +501,22 @@ def _field(kv, key, cast, path):
             f"{path}: bad value {kv[key]!r} for key {key!r}") from None
 
 
+def _finite(text) -> float:
+    """A finite float, else a ValueError (for ``_field``)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _finite_positive(text) -> float:
+    """A finite float > 0, else a ValueError (for ``_field``)."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise ValueError(text)
+    return value
+
+
 def _read_utf8(read, path, *args):
     """``read(path, *args)``; a file that is not UTF-8 is an IngestionError
     naming it."""
@@ -568,8 +554,10 @@ def load_partition(indir) -> ScenarioPartition:
             rc_train=rc_tr, rc_test=rc_te,
             coord_min=np.array([num("coord_min_row"), num("coord_min_col")]),
             coord_max=np.array([num("coord_max_row"), num("coord_max_col")]),
-            label_mean=np.asarray(num("label_mean")),
-            label_std=np.asarray(num("label_std"))))
+            label_mean=np.asarray(
+                _field(stats, "label_mean", _finite, stats_path)),
+            label_std=np.asarray(
+                _field(stats, "label_std", _finite_positive, stats_path))))
     return ScenarioPartition(
         _field(meta, "scenario", str, meta_path), clients,
         _field(meta, "rows", int, meta_path),

@@ -4,10 +4,13 @@ and server aggregation, in one round loop.
 At a sync round (t mod R == 0) each sampled client resyncs to the broadcast
 model, trains, and uploads its delta through ``compression.transmit``; the
 server averages what it receives.  Between syncs clients train on from
-their local state.  ``pfl`` runs the loop with every component on: personal
-heads (``split_head``), error feedback + Top-K, 8-bit quantization, periodic
-sync and an EMA shadow for evaluation.  ``fedavg`` is the same loop with the
-``FEDAVG`` preset: those five off and a single-layer head, i.e. one global
+their local state.  Evaluation reads an EMA shadow of the global model.
+``pfl`` runs the loop with every component on: personal heads
+(``split_head``), error feedback + Top-K, 8-bit quantization, a sync every
+``sync_period`` rounds and an EMA with ``ema_beta`` > 0.  ``fedavg`` is the
+same loop with the ``FEDAVG`` preset, which RunConfig applies when it is
+built: those five off (``sync_period=1``; ``ema_beta=0``, so the shadow
+equals the model) and a single-layer head, i.e. one global
 model uploaded dense every round.
 
 A client whose training diverges, or whose upload the wire cannot carry (a
@@ -22,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +46,10 @@ class TrainingDiverged(RuntimeError):
 
 MODES = ("pfl", "fedavg")
 MODE_ALIASES = {"epfl": "pfl"}
-# fedavg: one shared model, uploaded whole, dense and every round.
+# fedavg: one shared model, uploaded whole, dense and every round, and
+# evaluated as it is.
 FEDAVG = dict(split_head=False, topk=False, quantization=False,
-              periodic_sync=False, ema=False, head="single")
+              sync_period=1, ema_beta=0.0, head="single")
 
 
 @dataclass
@@ -56,11 +60,9 @@ class RunConfig:
     sync_period: int = 5
     sparsity: float = 0.01
     client_fraction: float = 1.0
-    ema: bool = True
     ema_beta: float = 0.99
     # ablation toggles
     split_head: bool = True
-    periodic_sync: bool = True
     topk: bool = True
     quantization: bool = True
     # local training
@@ -80,6 +82,9 @@ class RunConfig:
         self.mode = MODE_ALIASES.get(self.mode, self.mode)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "fedavg":
+            for key, value in FEDAVG.items():
+                setattr(self, key, value)
         if self.sync_period < 1:
             raise ValueError("sync_period must be >= 1")
         if self.local_epochs < 1:
@@ -92,6 +97,8 @@ class RunConfig:
             raise ValueError("sparsity must be in (0, 1]")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for key in ("batch_size", "hidden1", "hidden2", "latent",
                     "head_hidden"):
             if getattr(self, key) < 1:
@@ -104,6 +111,13 @@ class RunConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.head not in ("single", "two-layer"):
             raise ValueError("head must be 'single' or 'two-layer'")
+
+    @property
+    def periodic_sync(self) -> bool:
+        """Whether clients train on between syncs.  Not a field: the
+        schedule is ``sync_period`` alone.  The name stays, read-only,
+        because the benchmark's gate (perfbench/gate.py) reads it."""
+        return self.sync_period > 1
 
 
 @dataclass
@@ -255,16 +269,6 @@ def evaluate(partition, backbone_flat, heads, dims):
     return met.bundle(residuals)
 
 
-def run_training(partition, cfg: RunConfig) -> RunResult:
-    """Run the full T-round loop; fully deterministic under cfg.seed.
-
-    ``fedavg`` is the same loop with the ``FEDAVG`` preset applied.
-    """
-    if cfg.mode == "fedavg":
-        cfg = replace(cfg, **FEDAVG)
-    return _run_rounds(partition, cfg)
-
-
 def _init_rngs(cfg):
     return {
         "backbone": np.random.default_rng([cfg.seed, 1]),
@@ -277,14 +281,14 @@ def _client_rng(cfg, cid):
     return np.random.default_rng([cfg.seed, 3, cid])
 
 
-def _run_rounds(partition, cfg: RunConfig) -> RunResult:
+def run_training(partition, cfg: RunConfig) -> RunResult:
+    """Run the full T-round loop; fully deterministic under cfg.seed."""
     dims = _model_dims(partition, cfg)
     include_head = not cfg.split_head
     rngs = _init_rngs(cfg)
     lb = nn.backbone_size(dims)
     lh = nn.head_size(dims)
     upload_len = lb + (lh if include_head else 0)
-    r_eff = cfg.sync_period if cfg.periodic_sync else 1
     k = upload_len if not cfg.topk else max(1, int(round(cfg.sparsity * upload_len)))
 
     global_flat = nn.flatten_backbone(nn.init_backbone(dims, rngs["backbone"]))
@@ -298,19 +302,18 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
     # The training client's params at the start of its round.
     saved = np.empty(lb + lh)
 
-    shadow = global_flat.copy() if cfg.ema else None
+    shadow = global_flat.copy()
     cum_bytes = 0
     nnz_total = 0
     n_payloads = 0
     history = []
 
     def snapshot(round_no, wall_ms):
-        eval_flat = shadow if cfg.ema else global_flat
         if include_head:
-            heads = [nn.head_view(eval_flat[lb:], dims)] * len(states)
+            heads = [nn.head_view(shadow[lb:], dims)] * len(states)
         else:
             heads = [nn.head_view(st.params[lb:], dims) for st in states]
-        b = evaluate(partition, eval_flat[:lb], heads, dims)
+        b = evaluate(partition, shadow[:lb], heads, dims)
         history.append(RoundEntry(round_no, b, cum_bytes, n_payloads,
                                   nnz_total, wall_ms))
 
@@ -319,7 +322,7 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
     for t in range(cfg.rounds):
         participants = sample_clients(len(states), cfg.client_fraction,
                                       rngs["sample"])
-        sync = (t % r_eff == 0)
+        sync = (t % cfg.sync_period == 0)
         updates = []
         for cid in participants:
             st = states[cid]
@@ -346,8 +349,7 @@ def _run_rounds(partition, cfg: RunConfig) -> RunResult:
             n_payloads += 1
         if updates:
             global_flat = aggregate(global_flat, updates)
-        if cfg.ema:
-            shadow = ema_update(shadow, global_flat, cfg.ema_beta)
+        shadow = ema_update(shadow, global_flat, cfg.ema_beta)
         snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
 
     # Copies: a view would keep the client's whole store alive.

@@ -43,7 +43,8 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Architecture description shared by init, forward and flatten code."""
+    """Architecture description shared by init, forward and flatten code.
+    ``RunConfig`` checks the values a run builds it from."""
 
     in_dim: int
     n_outputs: int
@@ -53,12 +54,6 @@ class ModelDims:
     head: str = "two-layer"  # "single" or "two-layer"
     head_hidden: int = 128
     dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.head not in ("single", "two-layer"):
-            raise ParameterError(f"unknown head variant {self.head!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ParameterError("dropout rate must be in [0, 1)")
 
 
 @dataclass
@@ -81,32 +76,10 @@ class HeadParams:
     dropout: float = 0.0
 
 
-def silu(x):
-    """Elementwise x * sigmoid(x)."""
-    x = np.asarray(x, dtype=float)
-    return x * expit(x)
-
-
 def silu_grad(x, sig=None):
     """d silu / dx; ``sig`` is expit(x) when the forward pass kept it."""
     s = expit(x) if sig is None else sig
     return s * (1.0 + x * (1.0 - s))
-
-
-def layer_norm(x, gain, shift, eps=LN_EPS):
-    """Normalize each row to zero mean / unit population variance, then affine."""
-    x = np.asarray(x, dtype=float)
-    gain = np.asarray(gain, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    if eps <= 0:
-        raise ParameterError("layer_norm eps must be > 0")
-    if x.shape[-1] != gain.shape[-1] or gain.shape != shift.shape:
-        raise DimensionError(
-            f"layer_norm length mismatch: x {x.shape[-1]}, gain {gain.shape}, shift {shift.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    y = (x - mu) / np.sqrt(var + eps)
-    return gain * y + shift
 
 
 def init_backbone(dims: ModelDims, rng: np.random.Generator) -> BackboneParams:

@@ -191,7 +191,7 @@ def test_criterion_05_fedavg_degeneracy(desk_grid, desk_field):
         common = dict(rounds=3, local_epochs=1, seed=1)
         degenerate = fed.run_training(part, fed.RunConfig(
             mode="pfl", split_head=False, topk=False, quantization=False,
-            sync_period=1, ema=False, head="single", **common))
+            sync_period=1, ema_beta=0.0, head="single", **common))
         baseline = fed.run_training(part, fed.RunConfig(
             mode="fedavg", **common))
         dist = np.max(np.abs(degenerate.global_flat - baseline.global_flat))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -111,22 +112,29 @@ def test_partition_bad_clients_spec(workspace, tmp_path):
 # train
 # ---------------------------------------------------------------------------
 
+def _printed_config(capsys, *flags):
+    assert cli.main(["train", "--print-config", *flags]) == 0
+    return dict(line.split("=", 1)
+                for line in capsys.readouterr().out.strip().split("\n"))
+
+
 def test_train_print_config(capsys):
-    assert cli.main(["train", "--print-config", "--rounds", "7",
-                     "--mode", "fedavg"]) == 0
-    got = dict(line.split("=", 1)
-               for line in capsys.readouterr().out.strip().split("\n"))
+    got = _printed_config(capsys, "--rounds", "7", "--mode", "fedavg")
     assert got["rounds"] == "7"
     assert got["mode"] == "fedavg"
     assert got["sparsity"] == "0.01"
-    assert got["sync_period"] == "5"
-    assert got["ema"] == "true"
+    # A fedavg run is shown with its preset applied, as it runs.
+    assert got["sync_period"] == "1"
+    assert got["ema_beta"] == "0.0"
+    assert (got["split_head"], got["topk"], got["quantization"]) \
+        == ("false",) * 3
+    assert got["head"] == "single"
+    assert len(got) == len(dataclasses.fields(fed.RunConfig)) == 20
+    assert "ema" not in got and "periodic_sync" not in got
 
 
 def test_train_epfl_alias_normalizes(capsys):
-    assert cli.main(["train", "--print-config", "--mode", "epfl"]) == 0
-    got = dict(line.split("=", 1)
-               for line in capsys.readouterr().out.strip().split("\n"))
+    got = _printed_config(capsys, "--mode", "epfl")
     assert got["mode"] == "pfl"
 
 
@@ -171,11 +179,10 @@ def test_train_missing_partition_dir(tmp_path):
 
 
 def test_train_ablation_flags(capsys):
-    assert cli.main(["train", "--print-config",
-                     "--ablate", "no-topk", "--ablate", "no-ema"]) == 0
-    got = dict(line.split("=", 1)
-               for line in capsys.readouterr().out.strip().split("\n"))
-    assert got["topk"] == "false" and got["ema"] == "false"
+    got = _printed_config(capsys, "--ablate", "no-topk", "--ablate", "no-ema")
+    assert got["topk"] == "false" and got["ema_beta"] == "0.0"
+    got = _printed_config(capsys, "--ablate", "no-periodic-sync")
+    assert got["sync_period"] == "1"
     assert cli.main(["train", "--print-config", "--ablate", "bogus"]) == 1
 
 
@@ -195,11 +202,32 @@ BAD_INPUTS = {
     "--rounds=-1": (["train", "--rounds", "-1"], None, "rounds"),
     "--lr=-1": (["train", "--lr", "-1"], None, "lr"),
     "--lr=inf": (["train", "--lr", "inf"], None, "lr"),
-    "--tx=1,x": (["gen-data", "--size", "10", "--tx", "1,x"], None, "--tx"),
+    "--tx=1,x": (["gen-data", "--tx", "1,x"], None, "--tx"),
     "--rho-grid=0.1,abc": (["sweep", "--rho-grid", "0.1,abc"], None,
                            "--rho-grid"),
     "--period-grid=5,x": (["sweep", "--period-grid", "5,x"], None,
                           "--period-grid"),
+    # Checked for every cell before the first one trains.
+    "--rho-grid=0.5,2": (["sweep", "--rho-grid", "0.5,2"], None,
+                         "--rho-grid"),
+    "--period-grid=2,0": (["sweep", "--period-grid", "2,0"], None,
+                          "--period-grid"),
+    # Removed keys: ema_beta=0 and sync_period=1 say the same.
+    "ema=false": (["train"], "ema=false", "ema"),
+    "periodic_sync=false": (["train"], "periodic_sync=false",
+                            "periodic_sync"),
+    "--seed=-3": (["train", "--seed", "-3"], None, "seed"),
+    "print-config --seed=-3": (["train", "--print-config", "--seed", "-3"],
+                               None, "seed"),
+    "gen-data --seed=-1": (["gen-data", "--seed", "-1"], None, "--seed"),
+    "--shadowing=-1": (["gen-data", "--shadowing", "-1"], None,
+                       "--shadowing"),
+    "--obstacle-density=2": (["gen-data", "--obstacle-density", "2"], None,
+                             "--obstacle-density"),
+    "--bs=0": (["gen-data", "--bs", "0"], None, "--bs"),
+    "partition --seed=-1": (["partition", "--seed", "-1"], None, "--seed"),
+    "--train-frac=nan": (["partition", "--train-frac", "nan"], None,
+                         "--train-frac"),
 }
 
 
@@ -207,7 +235,12 @@ BAD_INPUTS = {
                          ids=BAD_INPUTS.keys())
 def test_bad_value_is_usage_error_naming_it(workspace, tmp_path, capsys,
                                             argv, lines, name):
-    if argv[0] != "gen-data":
+    if argv[0] == "gen-data":
+        argv = [*argv, "--size", "10"]
+    elif argv[0] == "partition":
+        argv = ["partition", workspace["map"], "--scenario", "heavy",
+                *argv[1:]]
+    else:
         cfg = tmp_path / "bad.cfg"
         # Latin-1, so that a non-ASCII character is not UTF-8.
         cfg.write_bytes((TINY_NET + (lines or "") + "\n").encode("latin-1"))
@@ -217,6 +250,7 @@ def test_bad_value_is_usage_error_naming_it(workspace, tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert "usage error" in err and name in err
+    assert not (tmp_path / "out").exists()
 
 
 # Config files and flag values drawn at random: whatever the text, the edge
@@ -255,6 +289,56 @@ def test_print_config_with_fuzzed_flags_exits_0_or_1(flags):
     for flag, value in flags:
         argv.append(f"{flag}={value}")
     assert cli.main(argv) in (0, 1)
+
+
+# Numeric flags of the three commands that read or write data, drawn at
+# random on a tiny map: whatever the values, the answer is success, a usage
+# error or a data error, never a runtime error.  Floats stay within +-3 (plus
+# NaN and the infinities), so that no draw overflows on purpose.
+_FLOAT = st.one_of(st.sampled_from(["nan", "inf", "-inf"]),
+                   st.floats(-3.0, 3.0).map(repr))
+_SEED = st.integers(-3, 2**70).map(str)
+_NUMERIC_FLAGS = {
+    "gen-data": {"--seed": _SEED, "--size": st.integers(-1, 10).map(str),
+                 "--bs": st.integers(-1, 4).map(str),
+                 "--features": st.integers(-1, 4).map(str),
+                 "--obstacle-density": _FLOAT, "--shadowing": _FLOAT,
+                 "--path-loss-exp": _FLOAT},
+    "partition": {"--seed": _SEED, "--mix": _FLOAT, "--train-frac": _FLOAT,
+                  "--clients": st.builds("{}x{}".format,
+                                         st.integers(-1, 3),
+                                         st.integers(-1, 3))},
+    "train": {"--seed": _SEED, "--rounds": st.integers(-1, 3).map(str),
+              "--epochs": st.integers(-1, 2).map(str),
+              "--sync-period": st.integers(-1, 3).map(str),
+              "--batch-size": st.integers(-2, 10**6).map(str),
+              "--rho": _FLOAT, "--fraction": _FLOAT, "--lr": _FLOAT},
+}
+
+
+def _command_flags(command):
+    flags = _NUMERIC_FLAGS[command]
+    pair = st.sampled_from(sorted(flags)).flatmap(
+        lambda f: st.tuples(st.just(f), flags[f]))
+    return st.tuples(st.just(command), st.lists(pair, max_size=4))
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("numeric")
+
+
+@given(drawn=st.one_of(*map(_command_flags, _NUMERIC_FLAGS)))
+def test_numeric_flags_exit_0_1_or_2(workspace, scratch_dir, drawn):
+    command, pairs = drawn
+    base = {"gen-data": ["--size", "8", "--features", "3"],
+            "partition": [workspace["map"], "--scenario", "heavy",
+                          "--clients", "2x2"],
+            "train": ["--partition", workspace["part"],
+                      "--config", workspace["cfg"], *TINY_TRAIN]}[command]
+    out = scratch_dir / ("map.remg" if command == "gen-data" else command)
+    argv = [command, *base, *(f"{f}={v}" for f, v in pairs), "-o", str(out)]
+    assert cli.main(argv) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("flags", [

@@ -87,9 +87,13 @@ def test_csv_roundtrip(tmp_path):
     grid = dat.generate_synthetic_map(_clean_cfg(width=6, height=5))
     path = tmp_path / "map.csv"
     dat.save_grid_csv(grid, path)
-    back = dat.load_grid_csv(path)
-    assert np.array_equal(back.signals, grid.signals)
-    assert np.array_equal(back.features, grid.features)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    # One row per cell in row-major order: row, col, s1..sM, f1..fP.
+    cells = np.indices((grid.height, grid.width)).reshape(2, -1).T
+    assert np.array_equal(rows[:, :2], cells)
+    layers = rows[:, 2:].T.reshape(-1, grid.height, grid.width)
+    assert np.array_equal(layers[:grid.n_bs], grid.signals)
+    assert np.array_equal(layers[grid.n_bs:], grid.features)
 
 
 def test_input_vector_length_is_2_plus_p(desk_heavy_partition):
@@ -264,15 +268,8 @@ def test_zscore_shift_invariance():
 def test_normalization_roundtrip():
     coords, feats, labels, tr, te = _norm_inputs()
     ds = dat.normalize_client(0, (0, 0), coords, feats, labels, tr, te)
-    back = dat.denormalize(ds.y_train, ds.label_mean, ds.label_std)
+    back = ds.y_train * ds.label_std + ds.label_mean
     assert np.max(np.abs(back - labels[tr])) < 1e-9
-
-
-def test_denormalize_examples():
-    assert dat.denormalize(np.zeros(3), -50.0, 2.0) == pytest.approx([-50] * 3)
-    y = np.array([1.0, -2.0])
-    assert np.array_equal(dat.denormalize(y, 0.0, 1.0), y)
-    assert dat.denormalize(np.array([1.0]), -50.0, 2.0)[0] == -48.0
 
 
 def test_zero_variance_client_rejected():
@@ -287,6 +284,11 @@ def test_zero_variance_client_rejected():
     ("partition.txt", "q66", "high"),
     ("client_000/stats.txt", "coord_max_col", None),
     ("client_001/stats.txt", "label_std", "wide"),
+    # De-normalization multiplies by label_std and adds label_mean.
+    ("client_001/stats.txt", "label_std", "nan"),
+    ("client_001/stats.txt", "label_std", "0.0"),
+    ("client_001/stats.txt", "label_std", "-0.0"),
+    ("client_000/stats.txt", "label_mean", "inf"),
 ])
 def test_load_partition_bad_metadata_names_file_and_key(
         small_partition, tmp_path, file, key, value):

@@ -96,7 +96,19 @@ def test_config_validation():
         fed.RunConfig(client_fraction=0.0)
     with pytest.raises(ValueError):
         fed.RunConfig(mode="bogus")
+    with pytest.raises(ValueError):
+        fed.RunConfig(seed=-1)
     assert fed.RunConfig(mode="epfl").mode == "pfl"  # accepted alias
+
+
+def test_fedavg_preset_applied_at_construction():
+    cfg = fed.RunConfig(mode="fedavg", sync_period=5, ema_beta=0.9,
+                        quantization=True, head="two-layer")
+    assert {k: getattr(cfg, k) for k in fed.FEDAVG} == fed.FEDAVG
+    assert not cfg.periodic_sync
+    # A copy with other values is still a fedavg run.
+    assert dataclasses.replace(cfg, sync_period=3).sync_period == 1
+    assert fed.RunConfig(sync_period=2).periodic_sync
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +194,7 @@ def test_degenerate_pfl_equals_fedavg(small_partition):
     common = dict(rounds=3, local_epochs=1, seed=3, **TINY_ARCH)
     a = fed.run_training(small_partition, fed.RunConfig(
         mode="pfl", split_head=False, topk=False, quantization=False,
-        sync_period=1, ema=False, head="single", **common))
+        sync_period=1, ema_beta=0.0, head="single", **common))
     b = fed.run_training(small_partition, fed.RunConfig(
         mode="fedavg", **common))
     assert np.array_equal(a.global_flat, b.global_flat)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from remfl import nn
 
@@ -17,49 +18,79 @@ def tiny_model(seed=0, head="two-layer"):
 
 
 # ---------------------------------------------------------------------------
-# activations and layer norm
+# activations and layer norm, as the forward passes apply them
 # ---------------------------------------------------------------------------
 
+def head_silu(a):
+    """The hidden activation of a two-layer head whose pre-activation is
+    ``a``: zero input weights, bias ``a``, identity output layer."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    dims = nn.ModelDims(in_dim=1, n_outputs=a.size, latent=2,
+                        head_hidden=a.size, dropout=0.0)
+    head = nn.head_view(np.zeros(nn.head_size(dims)), dims)
+    head.biases[0][:] = a
+    head.weights[1][:] = np.eye(a.size)
+    return nn.head_forward(head, np.zeros((1, 2)))[0][0]
+
+
+def backbone_layer_norm(a, gain=1.0, shift=0.0):
+    """The latent of a backbone whose last layer has pre-activation ``a``
+    (zero weights, bias ``a``) and LayerNorm affine (gain, shift)."""
+    a = np.asarray(a, dtype=float)
+    dims = nn.ModelDims(in_dim=1, n_outputs=1, hidden1=1, hidden2=1,
+                        latent=a.size)
+    bb = nn.init_backbone(dims, np.random.default_rng(0))
+    bb.weights[2][:] = 0.0
+    bb.biases[2][:] = a
+    bb.gains[2][:] = gain
+    bb.shifts[2][:] = shift
+    return nn.backbone_forward(bb, np.zeros((1, 1)))[0][0]
+
+
 def test_silu_zero():
-    assert nn.silu(0.0) == 0.0
+    assert head_silu(0.0)[0] == 0.0
 
 
 def test_silu_saturates():
-    assert abs(nn.silu(20.0) - 20.0) < 1e-6
+    assert abs(head_silu(20.0)[0] - 20.0) < 1e-6
 
 
 def test_silu_one():
     # 1 / (1 + e^-1), frozen from a high-precision evaluation
-    assert abs(nn.silu(1.0) - 0.7310585786300049) < 1e-14
+    assert abs(head_silu(1.0)[0] - 0.7310585786300049) < 1e-14
 
 
 def test_layer_norm_constant_input_is_zero():
-    out = nn.layer_norm(np.full(7, 3.5), np.ones(7), np.zeros(7))
+    out = backbone_layer_norm(np.full(7, 3.5))
     assert np.allclose(out, 0.0)
 
 
 def test_layer_norm_unit_variance_pair():
-    out = nn.layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2),
-                        eps=1e-12)
+    # silu(10) - silu(0) is ~10, so LN_EPS moves the pair by ~2e-7.
+    out = backbone_layer_norm(np.array([10.0, 0.0]))
     assert np.allclose(out, [1.0, -1.0], atol=1e-6)
 
 
 def test_layer_norm_zero_gain_gives_shift():
-    out = nn.layer_norm(RNG.normal(size=5), np.zeros(5), np.full(5, 2.5))
+    out = backbone_layer_norm(RNG.normal(size=5), gain=0.0, shift=2.5)
     assert np.allclose(out, 2.5)
 
 
-def test_layer_norm_length_mismatch():
-    with pytest.raises(nn.DimensionError):
-        nn.layer_norm(np.zeros(4), np.ones(3), np.zeros(3))
-
-
 def test_layer_norm_statistics_property():
+    # Under the identity affine the latent is the normalized activation:
+    # zero mean and, up to LN_EPS, unit population variance per row.
     for _ in range(50):
-        x = RNG.normal(size=RNG.integers(2, 64)) * RNG.uniform(0.5, 50)
-        y = nn.layer_norm(x, np.ones(x.size), np.zeros(x.size), eps=1e-12)
-        assert abs(y.mean()) < 1e-9
-        assert abs(y.var() - 1.0) < 1e-6
+        width = int(RNG.integers(2, 64))
+        dims = nn.ModelDims(in_dim=3, n_outputs=1, hidden1=5, hidden2=5,
+                            latent=width)
+        bb = nn.init_backbone(dims, RNG)
+        for w in bb.weights:
+            w *= RNG.uniform(0.5, 50)
+        z, cache = nn.backbone_forward(bb, RNG.normal(size=(4, 3)))
+        var_h = (cache[-1][1] * cache[-1][2]).var(axis=-1)
+        assert np.all(np.abs(z.mean(axis=-1)) < 1e-9)
+        assert np.allclose(z.var(axis=-1), var_h / (var_h + nn.LN_EPS),
+                           rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +118,8 @@ def test_backbone_matches_inline_formula():
     x = RNG.normal(size=4)
     cur = x
     for w, b, g, s in zip(bb.weights, bb.biases, bb.gains, bb.shifts):
-        h = nn.silu(w @ cur + b)
+        a = w @ cur + b
+        h = a * expit(a)
         cur = g * (h - h.mean()) / np.sqrt(h.var() + nn.LN_EPS) + s
     z, _ = nn.backbone_forward(bb, x[None, :])
     assert np.allclose(z[0], cur, atol=1e-12)
@@ -378,7 +410,6 @@ def test_backward_rejects_wrong_buffer():
 
 
 def test_silu_grad_from_cached_sigmoid_is_exact():
-    from scipy.special import expit
     a = RNG.normal(size=1000) * 8
     assert np.array_equal(nn.silu_grad(a, expit(a)), nn.silu_grad(a))
 
