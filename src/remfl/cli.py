@@ -164,8 +164,6 @@ def _parse_clients(spec: str):
 
 
 def cmd_partition(args) -> int:
-    if args.scenario not in dat.SCENARIOS:
-        raise UsageError(f"scenario must be one of {dat.SCENARIOS}")
     clients = args.clients or ("3x4" if args.preset == "desk" else "10x9")
     rows, cols = _parse_clients(clients)
     _check_flags([
@@ -194,7 +192,6 @@ def build_run_config(args) -> fed.RunConfig:
     if args.config:
         values.update(load_config_file(args.config))
     if args.preset == "desk":
-        values.setdefault("rounds", 40)
         values.setdefault("local_epochs", 1)
     # Each run flag stores its value under its config key.
     values.update({k: v for k, v in vars(args).items()
@@ -265,7 +262,10 @@ def cmd_train(args) -> int:
 
 def _sweep_axis(flag, text, parse, cfg0, key):
     """The comma-separated values of one sweep flag, each parsed and checked
-    as config ``key``; a bad one is a UsageError naming the flag."""
+    as config ``key``; a bad one is a UsageError naming the flag.  A flag
+    not given sweeps the run's own value of ``key``."""
+    if text is None:
+        return [getattr(cfg0, key)]
     values = [_parse_value(flag, v, parse) for v in text.split(",")]
     for v in values:
         try:
@@ -277,6 +277,9 @@ def _sweep_axis(flag, text, parse, cfg0, key):
 
 def cmd_sweep(args) -> int:
     cfg0 = build_run_config(args)
+    if cfg0.mode == "fedavg":
+        raise UsageError("sweep cannot vary a --mode fedavg run: its preset "
+                         "fixes sync_period, quantization and topk")
     if not args.partition or not args.out:
         raise UsageError("sweep requires --partition and -o")
     rhos = _sweep_axis("--rho-grid", args.rho_grid, float, cfg0, "sparsity")
@@ -352,11 +355,9 @@ def cmd_report(args) -> int:
                          f"{r['mae_macro']:.4f}",
                          f"{r['cum_uplink_mb']:.4f}"))
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(",".join(header) + "\n")
-            for r in rows:
-                f.write(",".join([r["scenario"], r["mode"]]
-                                 + [repr(r[c]) for c in _REPORT_COLS]) + "\n")
+        dat.write_csv(args.out, header, (
+            [r["scenario"], r["mode"], *(repr(r[c]) for c in _REPORT_COLS)]
+            for r in rows))
     return 0
 
 
@@ -423,10 +424,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="grid sweep emitting a Pareto CSV")
     _add_train_flags(p)
-    p.add_argument("--rho-grid", default="0.005,0.01,0.05,1.0",
-                   dest="rho_grid")
-    p.add_argument("--period-grid", default="5", dest="period_grid")
-    p.add_argument("--quant-grid", default="on", dest="quant_grid")
+    p.add_argument("--rho-grid", dest="rho_grid",
+                   help="sparsities (default: the run's own)")
+    p.add_argument("--period-grid", dest="period_grid",
+                   help="sync periods (default: the run's own)")
+    p.add_argument("--quant-grid", dest="quant_grid",
+                   help="quantization on/off values (default: the run's own)")
     p.set_defaults(func=cmd_sweep, print_config=False)
 
     p = sub.add_parser("report", help="summarize completed runs")

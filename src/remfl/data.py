@@ -240,17 +240,16 @@ def load_grid(path) -> RadioMapGrid:
 
 def save_grid_csv(grid: RadioMapGrid, path):
     """Debug CSV: one row per cell: row, col, s1..sM, f1..fP."""
-    m, p = grid.n_bs, grid.n_features
-    header = ["row", "col"] + [f"s{i+1}" for i in range(m)] \
-        + [f"f{i+1}" for i in range(p)]
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+    header = ["row", "col"] + [f"s{i+1}" for i in range(grid.n_bs)] \
+        + [f"f{i+1}" for i in range(grid.n_features)]
+
+    def rows():  # one grid row at a time: the whole grid is millions of floats
         for r in range(grid.height):
-            for c in range(grid.width):
-                vals = [str(r), str(c)]
-                vals += [repr(float(grid.signals[i, r, c])) for i in range(m)]
-                vals += [repr(float(grid.features[i, r, c])) for i in range(p)]
-                f.write(",".join(vals) + "\n")
+            layers = np.vstack([grid.signals[:, r], grid.features[:, r]])
+            yield from _cell_rows(((r, c) for c in range(grid.width)),
+                                  layers.T)
+
+    write_csv(path, header, rows())
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +412,22 @@ def read_kv(path) -> dict:
     return out
 
 
+def write_csv(path, header, rows):
+    """A CSV table: the ``header`` names, then one line per row of
+    already-formatted text fields."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _cell_rows(rc, values):
+    """The text rows of a cell table: row, col, then ``repr`` of each value.
+    ``.tolist()`` yields Python floats, whose repr is the shortest form that
+    reads back to the same double (a numpy scalar's is ``np.float64(...)``)."""
+    for (r, c), vals in zip(rc, values.tolist()):
+        yield [str(r), str(c), *map(repr, vals)]
+
+
 def _fmt(v: float) -> str:
     return repr(float(v))
 
@@ -421,20 +436,14 @@ def _write_samples_csv(path, rc, x, y, n_features, n_bs):
     header = ["row", "col", "cx", "cy"] \
         + [f"f{i+1}" for i in range(n_features)] \
         + [f"y{i+1}" for i in range(n_bs)]
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(x.shape[0]):
-            vals = [str(int(rc[i, 0])), str(int(rc[i, 1]))]
-            vals += [_fmt(v) for v in x[i]]
-            vals += [_fmt(v) for v in y[i]]
-            f.write(",".join(vals) + "\n")
+    write_csv(path, header, _cell_rows(rc.tolist(), np.hstack([x, y])))
 
 
 def _read_samples_csv(path, n_features, n_bs):
     """(rc, x, y) of a sample CSV.  A row that is not 4 + P + M numbers is
     an IngestionError naming the file and the line."""
     width = 4 + n_features + n_bs
-    rc, x, y = [], [], []
+    rows = []
     with open(path, encoding="utf-8") as f:
         f.readline()
         for lineno, line in enumerate(f, start=2):
@@ -446,16 +455,14 @@ def _read_samples_csv(path, n_features, n_bs):
                 raise IngestionError(
                     f"{path}, line {lineno}: {len(v)} fields, expected {width}")
             try:
-                rc.append([int(v[0]), int(v[1])])
-                x.append([float(u) for u in v[2:4 + n_features]])
-                y.append([float(u) for u in v[4 + n_features:]])
+                rows.append([int(v[0]), int(v[1]), *map(float, v[2:])])
             except ValueError as exc:
                 raise IngestionError(
                     f"{path}, line {lineno}: non-numeric field ({exc})") from None
-    if not rc:
-        return (np.zeros((0, 2), dtype=int), np.zeros((0, 2 + n_features)),
-                np.zeros((0, n_bs)))
-    return np.array(rc), np.array(x), np.array(y)
+    table = np.array(rows, dtype=float).reshape(-1, width)
+    # Copies, so x and y are contiguous arrays rather than strided views.
+    return (table[:, :2].astype(int), table[:, 2:4 + n_features].copy(),
+            table[:, 4 + n_features:].copy())
 
 
 def export_partition(partition: ScenarioPartition, outdir):

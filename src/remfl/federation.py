@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compression as comp
+from . import data as dat
 from . import metrics as met
 from . import nn
 
@@ -367,15 +368,12 @@ def write_roundlog(result: RunResult, scenario: str, path):
     header = ["round", "scenario", "mode", "rmse_micro", "rmse_macro",
               "mae_macro"] + [f"rmse_bs_{i+1}" for i in range(m)] \
         + ["cum_uplink_mb", "wall_ms"]
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for e in result.history:
-            b = e.bundle
-            vals = [str(e.round), scenario, result.config.mode,
-                    repr(b.rmse_micro), repr(b.rmse_macro), repr(b.mae_macro)]
-            vals += [repr(float(v)) for v in b.per_bs_rmse]
-            vals += [repr(e.cum_bytes / 1e6), f"{e.wall_ms:.1f}"]
-            f.write(",".join(vals) + "\n")
+    dat.write_csv(path, header, (
+        [str(e.round), scenario, result.config.mode,
+         *map(repr, [e.bundle.rmse_micro, e.bundle.rmse_macro,
+                     e.bundle.mae_macro, *e.bundle.per_bs_rmse.tolist(),
+                     e.cum_bytes / 1e6]),
+         f"{e.wall_ms:.1f}"] for e in result.history))
 
 
 def read_roundlog(path):

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as dat
+
 
 class MetricError(ValueError):
     """Metric requested on an empty residual set."""
@@ -99,8 +101,7 @@ def pareto_frontier(points) -> list:
 def write_pareto_csv(points, path):
     """All sweep points with an on_frontier 0/1 flag."""
     front = {id(p) for p in pareto_frontier(points)}
-    with open(path, "w") as f:
-        f.write("label,rmse_macro,uplink_mb,on_frontier\n")
-        for p in sorted(points, key=lambda p: (p.uplink_mb, p.rmse_macro)):
-            f.write(f"{p.label},{repr(p.rmse_macro)},{repr(p.uplink_mb)},"
-                    f"{1 if id(p) in front else 0}\n")
+    dat.write_csv(path, ["label", "rmse_macro", "uplink_mb", "on_frontier"], (
+        [p.label, repr(p.rmse_macro), repr(p.uplink_mb),
+         "1" if id(p) in front else "0"]
+        for p in sorted(points, key=lambda p: (p.uplink_mb, p.rmse_macro))))

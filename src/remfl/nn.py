@@ -353,15 +353,15 @@ def adam_init(n: int) -> AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
-              lr=1e-3, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
-              scratch=None):
+              lr=1e-3, scratch=None):
     """One bias-corrected Adam update, in place: ``params``, ``state.m`` and
     ``state.v`` are overwritten and ``params`` itself is returned.
 
     ``params`` must be float64.  ``scratch`` is a (2, n) float64 work array;
     one is allocated per call when it is not given.  The arithmetic is, in
     this order, m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), with b1, b2 and eps
+    the module's ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError("adam: params/grads/state shape mismatch")
@@ -372,18 +372,18 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     step_dir, denom = scratch
     state.step += 1
     m, v = state.m, state.v
-    np.multiply(m, beta1, out=m)
-    np.multiply(grads, 1.0 - beta1, out=step_dir)
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=step_dir)
     np.add(m, step_dir, out=m)
-    np.multiply(v, beta2, out=v)
-    np.multiply(grads, 1.0 - beta2, out=step_dir)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=step_dir)
     np.multiply(step_dir, grads, out=step_dir)
     np.add(v, step_dir, out=v)
-    np.divide(m, 1.0 - beta1 ** state.step, out=step_dir)
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=step_dir)
     np.multiply(step_dir, lr, out=step_dir)
-    np.divide(v, 1.0 - beta2 ** state.step, out=denom)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=denom)
     np.sqrt(denom, out=denom)
-    np.add(denom, eps, out=denom)
+    np.add(denom, ADAM_EPS, out=denom)
     np.divide(step_dir, denom, out=step_dir)
     np.subtract(params, step_dir, out=params)
     return params

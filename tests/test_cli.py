@@ -381,6 +381,47 @@ def test_sweep_single_cell(workspace, tmp_path, capsys):
     assert (out / "rho0.05_R1_qon" / "roundlog.csv").exists()
 
 
+# A grid flag not given sweeps the run's own value.
+@pytest.mark.parametrize("flags, label, settings", [
+    (["--ablate", "no-quantization", "--rho-grid", "0.05"], "rho0.05_R1_qoff",
+     {"quantization": "false", "sync_period": "1"}),
+    (["--sync-period", "3", "--rho-grid", "0.05"], "rho0.05_R3_qon",
+     {"sync_period": "3"}),
+    (["--rho", "0.2"], "rho0.2_R1_qon", {"sparsity": "0.2"}),
+], ids=["no-quantization", "sync-period", "rho"])
+def test_sweep_grid_defaults_to_the_run_settings(workspace, tmp_path, flags,
+                                                 label, settings):
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--partition", workspace["part"],
+                   "--config", workspace["cfg"], *TINY_TRAIN, *flags,
+                   "-o", str(out)])
+    assert rc == 0
+    assert [p.name for p in out.iterdir() if p.is_dir()] == [label]
+    manifest = dat.read_kv(out / label / "manifest.txt")
+    assert {k: manifest[k] for k in settings} == settings
+
+
+def test_sweep_refuses_fedavg_before_reading_data(tmp_path, capsys):
+    rc = cli.main(["sweep", "--partition", str(tmp_path / "none"),
+                   "--mode", "fedavg", "-o", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--mode fedavg" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_written_tables_hold_no_numpy_scalar_reprs(workspace, tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--partition", workspace["part"],
+                     "--config", workspace["cfg"], *TINY_TRAIN,
+                     "--rho-grid", "0.05", "--period-grid", "1",
+                     "-o", str(out)]) == 0
+    for path in (out / "pareto.csv", out / "rho0.05_R1_qon" / "roundlog.csv",
+                 os.path.join(workspace["part"], "client_000", "train.csv")):
+        with open(path) as f:
+            assert "np." not in f.read(), path
+
+
 def test_report_table(workspace, tmp_path, capsys):
     run = tmp_path / "run"
     assert cli.main(["train", "--partition", workspace["part"],

@@ -345,3 +345,34 @@ def test_mutated_sample_csv_raises_only_ingestion_error(sample_csv, data,
         return
     assert x.shape == (rc.shape[0], 2 + part.n_features)
     assert y.shape == (rc.shape[0], part.n_bs)
+
+
+def test_sample_csv_line_is_row_col_then_repr_of_each_value(small_partition,
+                                                           tmp_path):
+    c = small_partition.clients[0]
+    p, m = small_partition.n_features, small_partition.n_bs
+    path = tmp_path / "train.csv"
+    dat._write_samples_csv(path, c.rc_train, c.x_train, c.y_train, p, m)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(["row", "col", "cx", "cy"]
+                                + [f"f{i+1}" for i in range(p)]
+                                + [f"y{i+1}" for i in range(m)])
+    want = []
+    for i in range(c.n_train):
+        r, col = (int(v) for v in c.rc_train[i])
+        row = [float(v) for v in c.x_train[i]] + [float(v) for v in c.y_train[i]]
+        want.append(f"{r},{col}," + ",".join(map(repr, row)))
+    assert lines[1:] == want
+    rc, x, y = dat._read_samples_csv(path, p, m)
+    assert np.array_equal(rc, c.rc_train)
+    assert np.array_equal(x, c.x_train) and np.array_equal(y, c.y_train)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+
+
+def test_header_only_sample_csv_loads_empty(tmp_path):
+    path = tmp_path / "test.csv"
+    dat._write_samples_csv(path, np.zeros((0, 2), dtype=int),
+                           np.zeros((0, 5)), np.zeros((0, 4)), 3, 4)
+    assert len(path.read_text().splitlines()) == 1
+    rc, x, y = dat._read_samples_csv(path, 3, 4)
+    assert (rc.shape, x.shape, y.shape) == ((0, 2), (0, 5), (0, 4))

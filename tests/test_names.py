@@ -1,7 +1,9 @@
-"""Every name the benchmark's tracer wraps, and every name the package
-exports, resolves: a rename or deletion fails here in well under a second,
-not only in the minutes-long benchmark self-test."""
+"""Every name the benchmark's tracer wraps, every remfl function and config
+field the benchmark's code uses, and every name the package exports,
+resolves: a rename or deletion fails here in well under a second, not only
+in the minutes-long benchmark self-test."""
 
+import ast
 import importlib
 import sys
 import types
@@ -15,11 +17,26 @@ from remfl import federation as fed
 from remfl import metrics as met
 from remfl import nn
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 
 MODULES = {"data": dat, "nn": nn, "compression": comp, "federation": fed,
            "metrics": met, "cli": cli}
+# The names the benchmark's code imports remfl's modules under.
+PERFBENCH_ALIASES = {"cli": cli, "fed": fed, "dat": dat, "nn": nn,
+                     "comp": comp, "met": met}
+
+
+def _perfbench_attributes(names):
+    """(file, name, attribute) for every ``name.attribute`` in the
+    benchmark's code whose ``name`` is one of ``names``."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in names:
+                yield path.name, node.value.id, node.attr
 
 
 def test_every_traced_name_resolves():
@@ -38,3 +55,17 @@ def test_every_package_export_resolves():
     for name, value in exports.items():
         home = importlib.import_module(value.__module__)
         assert getattr(home, name) is value, name
+
+
+def test_every_remfl_name_the_benchmark_uses_resolves():
+    used = list(_perfbench_attributes(PERFBENCH_ALIASES))
+    assert used
+    missing = [u for u in used if not hasattr(PERFBENCH_ALIASES[u[1]], u[2])]
+    assert not missing
+
+
+def test_every_config_name_the_benchmark_reads_exists():
+    used = list(_perfbench_attributes({"cfg"}))
+    assert used
+    cfg = fed.RunConfig()
+    assert not [u for u in used if not hasattr(cfg, u[2])]
