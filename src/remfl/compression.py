@@ -35,7 +35,6 @@ ENTRY_BYTES = 5
 _ENTRY_DTYPE = np.dtype([("index", "<u4"), ("qvalue", "<i1")])
 MAX_CLIENT_ID = 255
 QMAX = 127
-FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class CodecError(ValueError):
@@ -199,23 +198,30 @@ def transmit(delta: np.ndarray, residual: np.ndarray | None, k: int,
     (else ``delta`` goes whole), then a QUP1 payload or float32 values.
 
     Returns (update as the server decodes it, new residual or None, bytes on
-    the wire, nnz of an indexed form, else 0).  An update the wire cannot
-    carry raises UnencodableUpdate; ``residual`` is never written.
+    the wire, nnz of an indexed form, else 0).  The float32 forms round the
+    update to float32; under Top-K the new residual is what the server did
+    not receive, which is exact, so error feedback still telescopes.  An
+    update the wire cannot carry raises UnencodableUpdate; ``residual`` is
+    never written.
     """
     update = delta
     if residual is not None:
         u = accumulate(delta, residual)
         update = top_k(u, k)
-        residual = residual_update(u, update)
     if quantized:
         payload = encode(quantize(update, client_id, round_no))
         q = decode(payload)
-        return dequantize(q), residual, len(payload), q.nnz
-    # NaN fails both comparisons.
-    if not (-FLOAT32_MAX <= update.min() and update.max() <= FLOAT32_MAX):
-        raise UnencodableUpdate(
-            f"client {client_id}: update not representable as float32")
-    if residual is None:
-        return update, None, dense_bytes(update.size), 0
-    nnz = int(np.count_nonzero(update))
-    return update, residual, sparse_float_bytes(nnz), nnz
+        received, n_bytes, nnz = dequantize(q), len(payload), q.nnz
+    else:
+        with np.errstate(over="ignore"):
+            wire = update.astype(np.float32)
+        if not np.all(np.isfinite(wire)):  # a NaN, or beyond float32
+            raise UnencodableUpdate(
+                f"client {client_id}: update not representable as float32")
+        update = received = wire.astype(np.float64)
+        nnz = 0 if residual is None else int(np.count_nonzero(update))
+        n_bytes = dense_bytes(update.size) if residual is None \
+            else sparse_float_bytes(nnz)
+    if residual is not None:
+        residual = residual_update(u, update)
+    return received, residual, n_bytes, nnz

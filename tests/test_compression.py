@@ -329,8 +329,14 @@ def test_transmit_wire_forms(topk, quantized, size):
     assert nnz == (k if topk else 0)
     if not topk:
         assert new_residual is None
-        assert np.array_equal(update, delta)
+        # The float32 wire carries delta rounded to float32.
+        assert np.array_equal(update, delta.astype(np.float32))
+        assert not np.array_equal(update, delta)
     elif not quantized:
+        sent = comp.top_k(delta + residual, k)
+        assert np.array_equal(update, sent.astype(np.float32))
+        assert not np.array_equal(update, sent)
+        # The rounding error stays in the residual, exactly.
         assert np.array_equal(update + new_residual, delta + residual)
     else:
         sent = comp.top_k(delta + residual, k)
