@@ -261,9 +261,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_axis(flag, text, parse, cfg0, key):
-    """The comma-separated values of one sweep flag, each parsed and checked
-    as config ``key``; a bad one is a UsageError naming the flag.  A flag
-    not given sweeps the run's own value of ``key``."""
+    """Each comma-separated value of one sweep flag, checked as config ``key``
+    (a bad one is a UsageError naming the flag); unset, the run's own value."""
     if text is None:
         return [getattr(cfg0, key)]
     values = [_parse_value(flag, v, parse) for v in text.split(",")]
@@ -278,8 +277,7 @@ def _sweep_axis(flag, text, parse, cfg0, key):
 def cmd_sweep(args) -> int:
     cfg0 = build_run_config(args)
     if cfg0.mode == "fedavg":
-        raise UsageError("sweep cannot vary a --mode fedavg run: its preset "
-                         "fixes sync_period, quantization and topk")
+        raise UsageError("sweep: --mode fedavg fixes what the grid varies")
     if not args.partition or not args.out:
         raise UsageError("sweep requires --partition and -o")
     rhos = _sweep_axis("--rho-grid", args.rho_grid, float, cfg0, "sparsity")
@@ -351,9 +349,7 @@ def cmd_report(args) -> int:
     print(fmt.format(*header))
     for r in rows:
         print(fmt.format(r["scenario"], r["mode"],
-                         f"{r['rmse_micro']:.4f}", f"{r['rmse_macro']:.4f}",
-                         f"{r['mae_macro']:.4f}",
-                         f"{r['cum_uplink_mb']:.4f}"))
+                         *(f"{r[c]:.4f}" for c in _REPORT_COLS)))
     if args.out:
         dat.write_csv(args.out, header, (
             [r["scenario"], r["mode"], *(repr(r[c]) for c in _REPORT_COLS)]
@@ -424,12 +420,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="grid sweep emitting a Pareto CSV")
     _add_train_flags(p)
-    p.add_argument("--rho-grid", dest="rho_grid",
-                   help="sparsities (default: the run's own)")
-    p.add_argument("--period-grid", dest="period_grid",
-                   help="sync periods (default: the run's own)")
-    p.add_argument("--quant-grid", dest="quant_grid",
-                   help="quantization on/off values (default: the run's own)")
+    p.add_argument("--rho-grid", help="sparsities, comma-separated")
+    p.add_argument("--period-grid", help="sync periods, comma-separated")
+    p.add_argument("--quant-grid", help="quantization on/off, comma-separated")
     p.set_defaults(func=cmd_sweep, print_config=False)
 
     p = sub.add_parser("report", help="summarize completed runs")

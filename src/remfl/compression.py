@@ -198,9 +198,8 @@ def transmit(delta: np.ndarray, residual: np.ndarray | None, k: int,
     (else ``delta`` goes whole), then a QUP1 payload or float32 values.
 
     Returns (update as the server decodes it, new residual or None, bytes on
-    the wire, nnz of an indexed form, else 0).  The float32 forms round the
-    update to float32; under Top-K the new residual is what the server did
-    not receive, which is exact, so error feedback still telescopes.  An
+    the wire, nnz of an indexed form, else 0).  A float32 form rounds the
+    update; under Top-K the residual keeps the (exact) rounding error.  An
     update the wire cannot carry raises UnencodableUpdate; ``residual`` is
     never written.
     """
@@ -214,11 +213,10 @@ def transmit(delta: np.ndarray, residual: np.ndarray | None, k: int,
         received, n_bytes, nnz = dequantize(q), len(payload), q.nnz
     else:
         with np.errstate(over="ignore"):
-            wire = update.astype(np.float32)
-        if not np.all(np.isfinite(wire)):  # a NaN, or beyond float32
+            update = received = update.astype(np.float32).astype(np.float64)
+        if not np.all(np.isfinite(update)):  # a NaN, or beyond float32
             raise UnencodableUpdate(
                 f"client {client_id}: update not representable as float32")
-        update = received = wire.astype(np.float64)
         nnz = 0 if residual is None else int(np.count_nonzero(update))
         n_bytes = dense_bytes(update.size) if residual is None \
             else sparse_float_bytes(nnz)

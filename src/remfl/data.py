@@ -243,11 +243,11 @@ def save_grid_csv(grid: RadioMapGrid, path):
     header = ["row", "col"] + [f"s{i+1}" for i in range(grid.n_bs)] \
         + [f"f{i+1}" for i in range(grid.n_features)]
 
-    def rows():  # one grid row at a time: the whole grid is millions of floats
+    def rows():  # a grid row at a time: the whole grid is millions of floats
         for r in range(grid.height):
-            layers = np.vstack([grid.signals[:, r], grid.features[:, r]])
-            yield from _cell_rows(((r, c) for c in range(grid.width)),
-                                  layers.T)
+            yield from _cell_rows(
+                [(r, c) for c in range(grid.width)],
+                np.vstack([grid.signals[:, r], grid.features[:, r]]).T)
 
     write_csv(path, header, rows())
 
@@ -421,21 +421,17 @@ def write_csv(path, header, rows):
 
 
 def _cell_rows(rc, values):
-    """The text rows of a cell table: row, col, then ``repr`` of each value.
-    ``.tolist()`` yields Python floats, whose repr is the shortest form that
-    reads back to the same double (a numpy scalar's is ``np.float64(...)``)."""
+    """Text rows of a cell table: row, col, then ``repr`` of each value, a
+    Python float from ``.tolist()`` (a numpy scalar's repr is
+    ``np.float64(...)``)."""
     for (r, c), vals in zip(rc, values.tolist()):
         yield [str(r), str(c), *map(repr, vals)]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_samples_csv(path, rc, x, y, n_features, n_bs):
+def _write_samples_csv(path, rc, x, y):
     header = ["row", "col", "cx", "cy"] \
-        + [f"f{i+1}" for i in range(n_features)] \
-        + [f"y{i+1}" for i in range(n_bs)]
+        + [f"f{i+1}" for i in range(x.shape[1] - 2)] \
+        + [f"y{i+1}" for i in range(y.shape[1])]
     write_csv(path, header, _cell_rows(rc.tolist(), np.hstack([x, y])))
 
 
@@ -471,8 +467,9 @@ def export_partition(partition: ScenarioPartition, outdir):
         ("scenario", partition.scenario),
         ("rows", partition.rows), ("cols", partition.cols),
         ("seed", partition.seed),
-        ("neighbor_mix", _fmt(partition.neighbor_mix)),
-        ("q33", _fmt(partition.q33)), ("q66", _fmt(partition.q66)),
+        ("neighbor_mix", repr(float(partition.neighbor_mix))),
+        ("q33", repr(float(partition.q33))),
+        ("q66", repr(float(partition.q66))),
         ("bs", partition.n_bs), ("features", partition.n_features),
         ("clients", len(partition.clients)),
     ])
@@ -480,20 +477,17 @@ def export_partition(partition: ScenarioPartition, outdir):
         cdir = os.path.join(outdir, f"client_{c.client_id:03d}")
         os.makedirs(cdir, exist_ok=True)
         _write_samples_csv(os.path.join(cdir, "train.csv"), c.rc_train,
-                           c.x_train, c.y_train, partition.n_features,
-                           partition.n_bs)
+                           c.x_train, c.y_train)
         _write_samples_csv(os.path.join(cdir, "test.csv"), c.rc_test,
-                           c.x_test, c.y_test, partition.n_features,
-                           partition.n_bs)
-        stats = [("client_id", c.client_id),
-                 ("tile_row", c.tile[0]), ("tile_col", c.tile[1]),
-                 ("coord_min_row", _fmt(c.coord_min[0])),
-                 ("coord_min_col", _fmt(c.coord_min[1])),
-                 ("coord_max_row", _fmt(c.coord_max[0])),
-                 ("coord_max_col", _fmt(c.coord_max[1])),
-                 ("label_mean", _fmt(c.label_mean)),
-                 ("label_std", _fmt(c.label_std))]
-        write_kv(os.path.join(cdir, "stats.txt"), stats)
+                           c.x_test, c.y_test)
+        lo, hi = c.coord_min.tolist(), c.coord_max.tolist()
+        write_kv(os.path.join(cdir, "stats.txt"), [
+            ("client_id", c.client_id),
+            ("tile_row", c.tile[0]), ("tile_col", c.tile[1]),
+            ("coord_min_row", repr(lo[0])), ("coord_min_col", repr(lo[1])),
+            ("coord_max_row", repr(hi[0])), ("coord_max_col", repr(hi[1])),
+            ("label_mean", repr(float(c.label_mean))),
+            ("label_std", repr(float(c.label_std)))])
 
 
 def _field(kv, key, cast, path):

@@ -380,8 +380,6 @@ def read_roundlog(path):
     """Round log rows as dicts keyed by the documented header."""
     with open(path) as f:
         header = f.readline().strip().split(",")
-        rows = []
-        for line in f:
-            if line.strip():
-                rows.append(dict(zip(header, line.strip().split(","))))
+        rows = [dict(zip(header, line.strip().split(",")))
+                for line in f if line.strip()]
     return header, rows

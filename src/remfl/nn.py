@@ -360,8 +360,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     ``params`` must be float64.  ``scratch`` is a (2, n) float64 work array;
     one is allocated per call when it is not given.  The arithmetic is, in
     this order, m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), with b1, b2 and eps
-    the module's ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), b1, b2, eps = ADAM_*.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError("adam: params/grads/state shape mismatch")

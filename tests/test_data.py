@@ -321,8 +321,7 @@ def test_kv_files_round_trip_stripped(tmp_path):
 def sample_csv(tmp_path_factory, small_partition):
     c = small_partition.clients[0]
     path = tmp_path_factory.mktemp("csv") / "train.csv"
-    dat._write_samples_csv(path, c.rc_train, c.x_train, c.y_train,
-                           small_partition.n_features, small_partition.n_bs)
+    dat._write_samples_csv(path, c.rc_train, c.x_train, c.y_train)
     return path, path.read_text().splitlines(), small_partition
 
 
@@ -352,7 +351,7 @@ def test_sample_csv_line_is_row_col_then_repr_of_each_value(small_partition,
     c = small_partition.clients[0]
     p, m = small_partition.n_features, small_partition.n_bs
     path = tmp_path / "train.csv"
-    dat._write_samples_csv(path, c.rc_train, c.x_train, c.y_train, p, m)
+    dat._write_samples_csv(path, c.rc_train, c.x_train, c.y_train)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(["row", "col", "cx", "cy"]
                                 + [f"f{i+1}" for i in range(p)]
@@ -372,7 +371,7 @@ def test_sample_csv_line_is_row_col_then_repr_of_each_value(small_partition,
 def test_header_only_sample_csv_loads_empty(tmp_path):
     path = tmp_path / "test.csv"
     dat._write_samples_csv(path, np.zeros((0, 2), dtype=int),
-                           np.zeros((0, 5)), np.zeros((0, 4)), 3, 4)
+                           np.zeros((0, 5)), np.zeros((0, 4)))
     assert len(path.read_text().splitlines()) == 1
     rc, x, y = dat._read_samples_csv(path, 3, 4)
     assert (rc.shape, x.shape, y.shape) == ((0, 2), (0, 5), (0, 4))
