@@ -207,19 +207,19 @@ def transmit(delta: np.ndarray, residual: np.ndarray | None, k: int,
     if residual is not None:
         u = accumulate(delta, residual)
         update = top_k(u, k)
-    if quantized:
-        payload = encode(quantize(update, client_id, round_no))
-        q = decode(payload)
-        received, n_bytes, nnz = dequantize(q), len(payload), q.nnz
-    else:
+    if not quantized:
         with np.errstate(over="ignore"):
-            update = received = update.astype(np.float32).astype(np.float64)
+            update = update.astype(np.float32).astype(np.float64)
         if not np.all(np.isfinite(update)):  # a NaN, or beyond float32
             raise UnencodableUpdate(
                 f"client {client_id}: update not representable as float32")
-        nnz = 0 if residual is None else int(np.count_nonzero(update))
-        n_bytes = dense_bytes(update.size) if residual is None \
-            else sparse_float_bytes(nnz)
     if residual is not None:
         residual = residual_update(u, update)
-    return received, residual, n_bytes, nnz
+    if quantized:
+        payload = encode(quantize(update, client_id, round_no))
+        q = decode(payload)
+        return dequantize(q), residual, len(payload), q.nnz
+    if residual is None:
+        return update, None, dense_bytes(update.size), 0
+    nnz = int(np.count_nonzero(update))
+    return update, residual, sparse_float_bytes(nnz), nnz
