@@ -33,7 +33,7 @@ EXIT_RUNTIME = 3
 ABLATIONS = {
     "no-split-head": ("split_head", False),
     "no-periodic-sync": ("sync_period", 1),
-    "no-topk": ("topk", False),
+    "no-topk": ("sparsity", 1.0),
     "no-quantization": ("quantization", False),
     "no-ema": ("ema_beta", 0.0),
 }
@@ -85,8 +85,8 @@ def _check_flags(checks):
 def load_config_file(path) -> dict:
     try:
         raw = dat.read_kv(path)
-    except UnicodeDecodeError:
-        raise UsageError(f"{path}: not UTF-8 text")
+    except dat.IngestionError as exc:  # not UTF-8
+        raise UsageError(str(exc))
     unknown = sorted(set(raw) - CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -130,10 +130,12 @@ def cmd_gen_data(args) -> int:
     ])
     tx = None
     if args.tx:
-        tx = []
-        for spec in args.tx:
-            r, _, c = spec.partition(",")
-            tx.append(tuple(_parse_value("--tx", v, float) for v in (r, c)))
+        tx = [tuple(_parse_value("--tx", v, float) for v in spec.split(","))
+              for spec in args.tx]
+        inside = all(len(p) == 2 and all(0.0 <= v <= size - 1 for v in p)
+                     for p in tx)  # NaN fails every comparison
+        _check_flags([("--tx", len(tx) == args.bs and inside, f"given --bs "
+                       f"({args.bs}) times, as 'row,col' in [0, {size - 1}]")])
     cfg = dat.SyntheticMapConfig(
         seed=args.seed, width=size, height=size, n_bs=args.bs,
         n_features=args.features, tx_positions=tx,
@@ -287,8 +289,7 @@ def cmd_sweep(args) -> int:
                          "quantization")
     cells = [(f"rho{rho:g}_R{period}_q{'on' if quant else 'off'}",
               dataclasses.replace(cfg0, sparsity=rho, sync_period=period,
-                                  quantization=quant,
-                                  topk=rho < 1.0 or cfg0.topk))
+                                  quantization=quant))
              for rho in rhos for period in periods for quant in quants]
     partition = dat.load_partition(args.partition)
     _check_client_ids(partition, [cfg for _, cfg in cells])

@@ -41,7 +41,6 @@ class RadioMapGrid:
     height: int
     signals: np.ndarray   # (M, height, width), dB
     features: np.ndarray  # (P, height, width)
-    floor_db: float = DEFAULT_FLOOR_DB
 
     @property
     def n_bs(self) -> int:
@@ -124,10 +123,9 @@ class SyntheticMapConfig:
     obstacle_density: float = 0.05
     path_loss_exp: float = 3.0
     shadowing_db: float = 6.0
-    tx_power_db: float = -30.0
-    floor_db: float = DEFAULT_FLOOR_DB
 
 
+_TX_POWER_DB = -30.0  # received power at the 0.5-cell reference distance
 _RAY_SAMPLES = 32  # points sampled along each BS-to-cell ray
 _SHADOW_CORR_CELLS = 8.0  # Gaussian smoothing width of the shadowing field
 _OBSTACLE_PENALTY_DB = 2.5  # per cell of ray length through obstacles
@@ -169,7 +167,7 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
         d = np.hypot(rr - r0, cc - c0)
         d_eff = np.maximum(d, 0.5)
         pl = 10.0 * cfg.path_loss_exp * np.log10(d_eff / 0.5)
-        s = cfg.tx_power_db - pl
+        s = _TX_POWER_DB - pl
         if cfg.obstacle_density > 0.0:
             hits = np.zeros((h, w))
             for k in range(_RAY_SAMPLES):
@@ -185,7 +183,7 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
             if std > 0:
                 shadow = shadow / std * cfg.shadowing_db
             s = s + shadow
-        signals[m] = np.maximum(s, cfg.floor_db)
+        signals[m] = np.maximum(s, DEFAULT_FLOOR_DB)
 
     features = np.zeros((cfg.n_features, h, w))
     feat_layers = [obstacles]
@@ -198,7 +196,7 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
     for i, layer in enumerate(feat_layers[:cfg.n_features]):
         features[i] = layer
 
-    grid = RadioMapGrid(w, h, signals, features, cfg.floor_db)
+    grid = RadioMapGrid(w, h, signals, features)
     grid.validate()
     return grid
 
@@ -400,15 +398,19 @@ def write_kv(path, items):
 
 def read_kv(path) -> dict:
     """The ``key=value`` lines of a UTF-8 file, key and value stripped;
-    blank lines and ``#`` comments are skipped, and a later key wins."""
+    blank lines and ``#`` comments are skipped, and a later key wins.  A
+    file that is not UTF-8 is an IngestionError naming it."""
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, _, v = line.partition("=")
-            out[k.strip()] = v.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                k, _, v = line.partition("=")
+                out[k.strip()] = v.strip()
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not UTF-8 text") from None
     return out
 
 
@@ -435,27 +437,53 @@ def _write_samples_csv(path, rc, x, y):
     write_csv(path, header, _cell_rows(rc.tolist(), np.hstack([x, y])))
 
 
-def _read_samples_csv(path, n_features, n_bs):
-    """(rc, x, y) of a sample CSV.  A row that is not 4 + P + M numbers is
-    an IngestionError naming the file and the line."""
-    width = 4 + n_features + n_bs
+def read_csv(path, parse, width=None):
+    """The header of a UTF-8 CSV table, and ``parse(fields, header)`` of each
+    non-blank line after it.  A file that is not UTF-8, a line that is not
+    ``width`` fields (by default, one per header name) and a ValueError from
+    ``parse`` are IngestionErrors naming the file, and the line."""
     rows = []
-    with open(path, encoding="utf-8") as f:
-        f.readline()
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            v = line.split(",")
-            if len(v) != width:
-                raise IngestionError(
-                    f"{path}, line {lineno}: {len(v)} fields, expected {width}")
-            try:
-                rows.append([int(v[0]), int(v[1]), *map(float, v[2:])])
-            except ValueError as exc:
-                raise IngestionError(
-                    f"{path}, line {lineno}: non-numeric field ({exc})") from None
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip().split(",")
+            width = width or len(header)
+            for lineno, line in enumerate(f, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != width:
+                    raise ValueError(f"{len(fields)} fields, expected {width}")
+                rows.append(parse(fields, header))
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:
+        raise IngestionError(f"{path}, line {lineno}: {exc}") from None
+    return header, rows
+
+
+def _sample_row(v, header):
+    """Row and col as ints, then every value as a float."""
+    try:
+        return [int(v[0]), int(v[1]), *map(float, v[2:])]
+    except ValueError as exc:
+        raise ValueError(f"non-numeric field ({exc})") from None
+
+
+def _finite_row(v, header):
+    """Nothing, or a ValueError for a line holding a NaN or an infinity."""
+    if not np.isfinite(np.array(v, dtype=float)).all():
+        raise ValueError("non-finite value")
+
+
+def _read_samples_csv(path, n_features, n_bs):
+    """(rc, x, y) of a sample CSV.  A row that is not 4 + P + M finite
+    numbers is an IngestionError naming the file and the line."""
+    width = 4 + n_features + n_bs
+    _, rows = read_csv(path, _sample_row, width)
     table = np.array(rows, dtype=float).reshape(-1, width)
+    if not np.isfinite(table).all():
+        read_csv(path, _finite_row, width)  # raises, naming the first line
     # Copies, so x and y are contiguous arrays rather than strided views.
     return (table[:, :2].astype(int), table[:, 2:4 + n_features].copy(),
             table[:, 4 + n_features:].copy())
@@ -518,20 +546,11 @@ def _finite_positive(text) -> float:
     return value
 
 
-def _read_utf8(read, path, *args):
-    """``read(path, *args)``; a file that is not UTF-8 is an IngestionError
-    naming it."""
-    try:
-        return read(path, *args)
-    except UnicodeDecodeError:
-        raise IngestionError(f"{path}: not UTF-8 text") from None
-
-
 def load_partition(indir) -> ScenarioPartition:
     meta_path = os.path.join(indir, "partition.txt")
     if not os.path.exists(meta_path):
         raise IngestionError(f"no partition.txt under {indir}")
-    meta = _read_utf8(read_kv, meta_path)
+    meta = read_kv(meta_path)
     n_bs = _field(meta, "bs", int, meta_path)
     n_features = _field(meta, "features", int, meta_path)
     n_clients = _field(meta, "clients", int, meta_path)
@@ -539,14 +558,14 @@ def load_partition(indir) -> ScenarioPartition:
     for k in range(n_clients):
         cdir = os.path.join(indir, f"client_{k:03d}")
         stats_path = os.path.join(cdir, "stats.txt")
-        stats = _read_utf8(read_kv, stats_path)
+        stats = read_kv(stats_path)
 
         def num(key):
             return _field(stats, key, float, stats_path)
 
         (rc_tr, x_tr, y_tr), (rc_te, x_te, y_te) = [
-            _read_utf8(_read_samples_csv, os.path.join(cdir, f"{split}.csv"),
-                       n_features, n_bs) for split in ("train", "test")]
+            _read_samples_csv(os.path.join(cdir, f"{split}.csv"), n_features,
+                              n_bs) for split in ("train", "test")]
         clients.append(ClientDataset(
             client_id=k,
             tile=(_field(stats, "tile_row", int, stats_path),

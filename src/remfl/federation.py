@@ -6,12 +6,13 @@ model, trains, and uploads its delta through ``compression.transmit``; the
 server averages what it receives.  Between syncs clients train on from
 their local state.  Evaluation reads an EMA shadow of the global model.
 ``pfl`` runs the loop with every component on: personal heads
-(``split_head``), error feedback + Top-K, 8-bit quantization, a sync every
-``sync_period`` rounds and an EMA with ``ema_beta`` > 0.  ``fedavg`` is the
-same loop with the ``FEDAVG`` preset, which RunConfig applies when it is
-built: those five off (``sync_period=1``; ``ema_beta=0``, so the shadow
-equals the model) and a single-layer head, i.e. one global
-model uploaded dense every round.
+(``split_head``), error feedback + Top-K (which run exactly when
+``sparsity`` < 1), 8-bit quantization, a sync every ``sync_period`` rounds
+and an EMA with ``ema_beta`` > 0.  ``fedavg`` is the same loop with the
+``FEDAVG`` preset, which RunConfig applies when it is built: those five off
+(``sparsity=1``; ``sync_period=1``; ``ema_beta=0``, so the shadow equals
+the model) and a single-layer head, i.e. one global model uploaded dense
+every round.
 
 A client whose training diverges, or whose upload the wire cannot carry (a
 QUP1 scale or a float32 value out of range), is rolled back to its
@@ -49,7 +50,7 @@ MODES = ("pfl", "fedavg")
 MODE_ALIASES = {"epfl": "pfl"}
 # fedavg: one shared model, uploaded whole, dense and every round, and
 # evaluated as it is.
-FEDAVG = dict(split_head=False, topk=False, quantization=False,
+FEDAVG = dict(split_head=False, sparsity=1.0, quantization=False,
               sync_period=1, ema_beta=0.0, head="single")
 
 
@@ -59,12 +60,11 @@ class RunConfig:
     rounds: int = 40
     local_epochs: int = 2
     sync_period: int = 5
-    sparsity: float = 0.01
+    sparsity: float = 0.01  # fraction Top-K keeps; 1.0 is no Top-K
     client_fraction: float = 1.0
     ema_beta: float = 0.99
     # ablation toggles
     split_head: bool = True
-    topk: bool = True
     quantization: bool = True
     # local training
     batch_size: int = 64
@@ -142,7 +142,7 @@ class ClientState:
 
     client_id: int
     params: np.ndarray
-    residual: np.ndarray | None  # error feedback; None without Top-K
+    residual: np.ndarray | None  # error feedback; None at sparsity 1
     adam: nn.AdamState
     rng: np.random.Generator
     dataset: object
@@ -201,7 +201,7 @@ def _client_states(partition, cfg: RunConfig, dims, start):
     """One state per client, each on its own store.  The backbone comes from
     ``start``, and so does the head when ``start`` holds one; otherwise each
     client draws its own personal head.  Error feedback carries only what
-    Top-K drops, so without Top-K there is no residual."""
+    Top-K drops, so at ``sparsity`` 1 (no Top-K) there is no residual."""
     lb = nn.backbone_size(dims)
     states = []
     for ds in partition.clients:
@@ -213,7 +213,7 @@ def _client_states(partition, cfg: RunConfig, dims, start):
         states.append(ClientState(
             client_id=ds.client_id,
             params=p,
-            residual=np.zeros(start.size) if cfg.topk else None,
+            residual=np.zeros(start.size) if cfg.sparsity < 1.0 else None,
             adam=nn.adam_init(p.size),
             rng=_client_rng(cfg, ds.client_id),
             dataset=ds))
@@ -290,7 +290,7 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
     lb = nn.backbone_size(dims)
     lh = nn.head_size(dims)
     upload_len = lb + (lh if include_head else 0)
-    k = upload_len if not cfg.topk else max(1, int(round(cfg.sparsity * upload_len)))
+    k = max(1, int(round(cfg.sparsity * upload_len)))
 
     global_flat = nn.flatten_backbone(nn.init_backbone(dims, rngs["backbone"]))
     if include_head:
@@ -376,10 +376,18 @@ def write_roundlog(result: RunResult, scenario: str, path):
          f"{e.wall_ms:.1f}"] for e in result.history))
 
 
+def _roundlog_row(fields, header):
+    """A round log line as a dict; a ValueError unless each metric is a
+    number."""
+    row = dict(zip(header, fields))
+    for name, text in row.items():
+        if name not in ("scenario", "mode"):
+            float(text)
+    return row
+
+
 def read_roundlog(path):
-    """Round log rows as dicts keyed by the documented header."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        rows = [dict(zip(header, line.strip().split(",")))
-                for line in f if line.strip()]
-    return header, rows
+    """Round log rows as dicts of text keyed by the header.  A row that is
+    not one number per column (scenario and mode are text) is an
+    IngestionError naming the file and the line (see ``data.read_csv``)."""
+    return dat.read_csv(path, _roundlog_row)

@@ -190,7 +190,7 @@ def test_criterion_05_fedavg_degeneracy(desk_grid, desk_field):
         assert len(part.clients) == 4
         common = dict(rounds=3, local_epochs=1, seed=1)
         degenerate = fed.run_training(part, fed.RunConfig(
-            mode="pfl", split_head=False, topk=False, quantization=False,
+            mode="pfl", split_head=False, sparsity=1.0, quantization=False,
             sync_period=1, ema_beta=0.0, head="single", **common))
         baseline = fed.run_training(part, fed.RunConfig(
             mode="fedavg", **common))

@@ -51,11 +51,13 @@ def test_gen_data_rejects_zero_size(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_gen_data_bad_tx_is_data_error(tmp_path, capsys):
+def test_gen_data_tx_outside_grid_is_usage_error(tmp_path, capsys):
     rc = cli.main(["gen-data", "--size", "10", "--bs", "1",
                    "--tx", "99,99", "-o", str(tmp_path / "x.remg")])
-    assert rc == 2
-    assert "data error" in capsys.readouterr().err
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--tx" in err
+    assert not (tmp_path / "x.remg").exists()
 
 
 def test_gen_data_desk_preset_size(tmp_path):
@@ -122,14 +124,13 @@ def test_train_print_config(capsys):
     got = _printed_config(capsys, "--rounds", "7", "--mode", "fedavg")
     assert got["rounds"] == "7"
     assert got["mode"] == "fedavg"
-    assert got["sparsity"] == "0.01"
     # A fedavg run is shown with its preset applied, as it runs.
+    assert got["sparsity"] == "1.0"
     assert got["sync_period"] == "1"
     assert got["ema_beta"] == "0.0"
-    assert (got["split_head"], got["topk"], got["quantization"]) \
-        == ("false",) * 3
+    assert (got["split_head"], got["quantization"]) == ("false",) * 2
     assert got["head"] == "single"
-    assert len(got) == len(dataclasses.fields(fed.RunConfig)) == 20
+    assert len(got) == len(dataclasses.fields(fed.RunConfig)) == 19
     assert "ema" not in got and "periodic_sync" not in got
 
 
@@ -180,7 +181,7 @@ def test_train_missing_partition_dir(tmp_path):
 
 def test_train_ablation_flags(capsys):
     got = _printed_config(capsys, "--ablate", "no-topk", "--ablate", "no-ema")
-    assert got["topk"] == "false" and got["ema_beta"] == "0.0"
+    assert got["sparsity"] == "1.0" and got["ema_beta"] == "0.0"
     got = _printed_config(capsys, "--ablate", "no-periodic-sync")
     assert got["sync_period"] == "1"
     assert cli.main(["train", "--print-config", "--ablate", "bogus"]) == 1
@@ -203,6 +204,10 @@ BAD_INPUTS = {
     "--lr=-1": (["train", "--lr", "-1"], None, "lr"),
     "--lr=inf": (["train", "--lr", "inf"], None, "lr"),
     "--tx=1,x": (["gen-data", "--tx", "1,x"], None, "--tx"),
+    "--tx count": (["gen-data", "--bs", "2", "--tx", "1,1"], None, "--tx"),
+    "--tx=1": (["gen-data", "--bs", "1", "--tx", "1"], None, "--tx"),
+    "--tx=nan,1": (["gen-data", "--bs", "1", "--tx", "nan,1"], None, "--tx"),
+    "--tx=1,inf": (["gen-data", "--bs", "1", "--tx", "1,inf"], None, "--tx"),
     "--rho-grid=0.1,abc": (["sweep", "--rho-grid", "0.1,abc"], None,
                            "--rho-grid"),
     "--period-grid=5,x": (["sweep", "--period-grid", "5,x"], None,
@@ -212,8 +217,9 @@ BAD_INPUTS = {
                          "--rho-grid"),
     "--period-grid=2,0": (["sweep", "--period-grid", "2,0"], None,
                           "--period-grid"),
-    # Removed keys: ema_beta=0 and sync_period=1 say the same.
+    # Removed keys: ema_beta=0, sync_period=1 and sparsity=1 say the same.
     "ema=false": (["train"], "ema=false", "ema"),
+    "topk=false": (["train"], "topk=false", "topk"),
     "periodic_sync=false": (["train"], "periodic_sync=false",
                             "periodic_sync"),
     "--seed=-3": (["train", "--seed", "-3"], None, "seed"),
@@ -401,6 +407,21 @@ def test_sweep_grid_defaults_to_the_run_settings(workspace, tmp_path, flags,
     assert {k: manifest[k] for k in settings} == settings
 
 
+def test_sweep_no_topk_sends_what_train_sends(workspace, tmp_path):
+    # The sweep's rho axis defaults to the run's sparsity, which
+    # --ablate no-topk sets to 1: no Top-K in the one cell either.
+    flags = ["--partition", workspace["part"], "--config", workspace["cfg"],
+             *TINY_TRAIN, "--ablate", "no-topk"]
+    assert cli.main(["sweep", *flags, "-o", str(tmp_path / "sweep")]) == 0
+    assert cli.main(["train", *flags, "-o", str(tmp_path / "train")]) == 0
+    cell = tmp_path / "sweep" / "rho1_R1_qon"
+    assert [p for p in cell.parent.iterdir() if p.is_dir()] == [cell]
+    assert dat.read_kv(cell / "manifest.txt")["sparsity"] == "1.0"
+    sent = [fed.read_roundlog(run / "roundlog.csv")[1][-1]["cum_uplink_mb"]
+            for run in (cell, tmp_path / "train")]
+    assert sent[0] == sent[1] and float(sent[0]) > 0.0
+
+
 def test_sweep_refuses_fedavg_before_reading_data(tmp_path, capsys):
     rc = cli.main(["sweep", "--partition", str(tmp_path / "none"),
                    "--mode", "fedavg", "-o", str(tmp_path / "r")])
@@ -445,6 +466,26 @@ def test_report_missing_column_is_data_error(tmp_path, capsys):
         "round,scenario,mode,rmse_micro\n0,heavy,pfl,1.0\n")
     assert cli.main(["report", str(run)]) == 2
     assert "missing column" in capsys.readouterr().err
+
+
+_LOG_HEADER = (b"round,scenario,mode,rmse_micro,rmse_macro,mae_macro,"
+               b"cum_uplink_mb\n")
+
+
+@pytest.mark.parametrize("text, what", [
+    (_LOG_HEADER + b"0,heavy,pfl,1.0,abc,1.0,0.0\n", "line 2"),
+    (_LOG_HEADER + b"0,heavy,pfl,1.0,1.0,1.0,0.0\n0,heavy,pfl\n",
+     "line 3: 3 fields, expected 7"),
+    (_LOG_HEADER + b"0,heavy,pfl,1.0,1.0,1.0,0.0\xe4\n", "not UTF-8"),
+], ids=["non-numeric", "short-row", "non-utf8"])
+def test_report_malformed_round_log_is_data_error(tmp_path, capsys, text,
+                                                  what):
+    run = tmp_path / "broken"
+    run.mkdir()
+    (run / "roundlog.csv").write_bytes(text)
+    assert cli.main(["report", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "roundlog.csv" in err and what in err
 
 
 def test_report_no_runs_is_data_error(tmp_path):
@@ -547,7 +588,9 @@ def _edit_sample_row(path, line, edit):
 @pytest.mark.parametrize("edit, what", [
     (lambda v: ["0x"] + v[1:], "non-numeric field"),
     (lambda v: v[:-1], "fields, expected"),
-], ids=["non-numeric", "short-row"])
+    (lambda v: v[:4] + ["nan"] + v[5:], "non-finite value"),
+    (lambda v: v[:-1] + ["-inf"], "non-finite value"),
+], ids=["non-numeric", "short-row", "nan-feature", "inf-label"])
 def test_train_malformed_sample_row_is_data_error(workspace, tmp_path, capsys,
                                                   edit, what):
     part = _copy_partition(workspace, tmp_path)

@@ -48,9 +48,8 @@ def test_transmitter_outside_grid_rejected():
 
 def test_signals_respect_floor():
     grid = dat.generate_synthetic_map(
-        _clean_cfg(path_loss_exp=8.0, tx_power_db=-100.0,
-                   tx_positions=[(0, 0), (1, 1)]))
-    assert grid.signals.min() >= grid.floor_db
+        _clean_cfg(path_loss_exp=8.0, tx_positions=[(0, 0), (1, 1)]))
+    assert grid.signals.min() == dat.DEFAULT_FLOOR_DB
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +365,21 @@ def test_sample_csv_line_is_row_col_then_repr_of_each_value(small_partition,
     assert np.array_equal(rc, c.rc_train)
     assert np.array_equal(x, c.x_train) and np.array_equal(y, c.y_train)
     assert x.flags.c_contiguous and y.flags.c_contiguous
+
+
+def test_non_finite_sample_names_its_line(small_partition, tmp_path):
+    c = small_partition.clients[0]
+    path = tmp_path / "train.csv"
+    dat._write_samples_csv(path, c.rc_train, c.x_train, c.y_train)
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[-1] = "nan"
+    # A blank line is skipped, and still counted.
+    lines[3:4] = ["", ",".join(fields)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(dat.IngestionError, match="line 5: non-finite"):
+        dat._read_samples_csv(path, small_partition.n_features,
+                              small_partition.n_bs)
 
 
 def test_header_only_sample_csv_loads_empty(tmp_path):

@@ -193,7 +193,7 @@ def test_fedavg_single_client_delta(small_grid, small_field):
 def test_degenerate_pfl_equals_fedavg(small_partition):
     common = dict(rounds=3, local_epochs=1, seed=3, **TINY_ARCH)
     a = fed.run_training(small_partition, fed.RunConfig(
-        mode="pfl", split_head=False, topk=False, quantization=False,
+        mode="pfl", split_head=False, sparsity=1.0, quantization=False,
         sync_period=1, ema_beta=0.0, head="single", **common))
     b = fed.run_training(small_partition, fed.RunConfig(
         mode="fedavg", **common))
@@ -214,8 +214,22 @@ def test_quantization_off_uses_float_accounting(small_partition):
     # Without Top-K: the dense vector as float32.
     res = fed.run_training(small_partition,
                            tiny_cfg(rounds=1, sync_period=1,
-                                    quantization=False, topk=False))
+                                    quantization=False, sparsity=1.0))
     assert res.final.cum_bytes == n * comp.dense_bytes(res.upload_len)
+
+
+def test_sparsity_one_uploads_without_residual(small_partition, monkeypatch):
+    transmit, residuals = comp.transmit, []
+
+    def recording(delta, residual, *args):
+        residuals.append(residual)
+        return transmit(delta, residual, *args)
+
+    monkeypatch.setattr(comp, "transmit", recording)
+    res = fed.run_training(small_partition, tiny_cfg(rounds=2, sparsity=1.0))
+    assert res.k == res.upload_len
+    assert len(residuals) == res.final.n_payloads > 0
+    assert all(r is None for r in residuals)
 
 
 def test_client_sampling_fraction(small_partition):
@@ -322,7 +336,7 @@ def test_last_step_divergence_skips_client(small_partition, monkeypatch,
 
 def test_local_train_raises_on_non_finite_final_step(small_partition,
                                                      monkeypatch):
-    cfg = tiny_cfg(topk=False)
+    cfg = tiny_cfg(sparsity=1.0)
     ds = small_partition.clients[0]
     dims, st = one_client_state(small_partition, cfg, ds)
     _nan_on_last_minibatch(monkeypatch, -(-ds.n_train // cfg.batch_size))

@@ -1,10 +1,12 @@
 """Every name the benchmark's tracer wraps, every remfl function and config
 field the benchmark's code uses, and every name the package exports,
 resolves: a rename or deletion fails here in well under a second, not only
-in the minutes-long benchmark self-test."""
+in the minutes-long benchmark self-test.  The README's config keys and
+``--ablate`` table match the code's."""
 
 import ast
 import importlib
+import re
 import sys
 import types
 from pathlib import Path
@@ -17,7 +19,8 @@ from remfl import federation as fed
 from remfl import metrics as met
 from remfl import nn
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 
@@ -69,3 +72,14 @@ def test_every_config_name_the_benchmark_reads_exists():
     assert used
     cfg = fed.RunConfig()
     assert not [u for u in used if not hasattr(cfg, u[2])]
+
+
+def test_readme_lists_the_config_keys_and_ablations():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = re.search(r"the fields of `RunConfig`:(.*?)\.\s", readme, re.S)
+    assert sorted(re.findall(r"`(\w+)`", keys.group(1))) \
+        == sorted(cli.CONFIG_KEYS)
+    table = dict(re.findall(r"^\s*\| `(no-[\w-]+)` \| `([^`]+)`", readme,
+                            re.M))
+    assert table == {name: f"{key}={str(value).lower()}"
+                     for name, (key, value) in cli.ABLATIONS.items()}
