@@ -422,21 +422,6 @@ def write_csv(path, header, rows):
         f.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _cell_rows(rc, values):
-    """Text rows of a cell table: row, col, then ``repr`` of each value, a
-    Python float from ``.tolist()`` (a numpy scalar's repr is
-    ``np.float64(...)``)."""
-    for (r, c), vals in zip(rc, values.tolist()):
-        yield [str(r), str(c), *map(repr, vals)]
-
-
-def _write_samples_csv(path, rc, x, y):
-    header = ["row", "col", "cx", "cy"] \
-        + [f"f{i+1}" for i in range(x.shape[1] - 2)] \
-        + [f"y{i+1}" for i in range(y.shape[1])]
-    write_csv(path, header, _cell_rows(rc.tolist(), np.hstack([x, y])))
-
-
 def read_csv(path, parse, width=None):
     """The header of a UTF-8 CSV table, and ``parse(fields, header)`` of each
     non-blank line after it.  A file that is not UTF-8, a line that is not
@@ -460,6 +445,21 @@ def read_csv(path, parse, width=None):
     except ValueError as exc:
         raise IngestionError(f"{path}, line {lineno}: {exc}") from None
     return header, rows
+
+
+def _cell_rows(rc, values):
+    """Text rows of a cell table: row, col, then ``repr`` of each value, a
+    Python float from ``.tolist()`` (a numpy scalar's repr is
+    ``np.float64(...)``)."""
+    for (r, c), vals in zip(rc, values.tolist()):
+        yield [str(r), str(c), *map(repr, vals)]
+
+
+def _write_samples_csv(path, rc, x, y):
+    header = ["row", "col", "cx", "cy"] \
+        + [f"f{i+1}" for i in range(x.shape[1] - 2)] \
+        + [f"y{i+1}" for i in range(y.shape[1])]
+    write_csv(path, header, _cell_rows(rc.tolist(), np.hstack([x, y])))
 
 
 def _sample_row(v, header):
