@@ -463,11 +463,17 @@ def _write_samples_csv(path, rc, x, y):
 
 
 def _sample_row(v, header):
-    """Row and col as ints, then every value as a float."""
+    """Row and col as ints in [0, 2**32), the range of REMG1's u32 width and
+    height, then every value as a float."""
     try:
-        return [int(v[0]), int(v[1]), *map(float, v[2:])]
+        row = [int(v[0]), int(v[1]), *map(float, v[2:])]
     except ValueError as exc:
         raise ValueError(f"non-numeric field ({exc})") from None
+    if not 0 <= row[0] < 2**32:
+        raise ValueError("row outside [0, 2**32)")
+    if not 0 <= row[1] < 2**32:
+        raise ValueError("col outside [0, 2**32)")
+    return row
 
 
 def _finite_row(v, header):

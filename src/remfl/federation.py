@@ -19,14 +19,25 @@ QUP1 scale or a float32 value out of range), is rolled back to its
 parameters at the start of the round with a fresh optimizer (zero Adam
 moments, step 0), and skipped for that round.  Heads leave a run as flat
 vectors, slices of the client stores.
+
+A round's clients train, and every client's test pass runs, on a thread
+pool of ``_workers()`` threads, each with its own gradient, Adam and
+rollback buffers; a client's state is touched only by its own task.  The
+broadcast model is read-only while they run.  The server takes their
+uploads, and logs their skips, in participant order, summing each update as
+it arrives, so the worker count changes no output.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import queue
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -170,19 +181,26 @@ def sample_clients(n_clients, fraction, rng) -> np.ndarray:
 
 
 def aggregate(flat_global, updates) -> np.ndarray:
-    """theta + mean of decoded updates; identity on an empty set."""
-    if not updates:
-        return flat_global.copy()
+    """theta + mean of decoded updates; identity on an empty set.
+
+    ``updates`` is read once, in order, so a generator lets the server hold
+    one update at a time.  The first update is copied, each other one added
+    to it and the sum divided once: the bits of np.mean over a stack of
+    float64 updates, without the stack.
+    """
+    mean, n = None, 0
     for u in updates:
         if u.shape != flat_global.shape:
             raise AggregationError(
                 f"update length {u.size} != model length {flat_global.size}")
-    # Row by row, then one division: the bits of np.mean over a stack,
-    # without the stack.
-    mean = updates[0].astype(np.result_type(*updates), copy=True)
-    for u in updates[1:]:
-        mean += u
-    mean /= len(updates)
+        if mean is None:
+            mean = u.astype(np.float64)
+        else:
+            mean += u
+        n += 1
+    if mean is None:
+        return flat_global.copy()
+    mean /= n
     return flat_global + mean
 
 
@@ -221,23 +239,21 @@ def _client_states(partition, cfg: RunConfig, dims, start):
 
 
 def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
-                work=None):
+                grad=None, scratch=None):
     """E epochs of seeded minibatch Adam on the client's store with Huber loss.
 
-    ``work`` is a (3, n) float64 scratch array shared by all clients of a
-    run: the flat gradient, then Adam's two work vectors.  One is allocated
-    when it is not given.  Raises
-    TrainingDiverged on a non-finite loss before a step, or on non-finite
-    parameters after the last one.
+    ``grad`` receives each step's flat gradient (one float64 per parameter)
+    and ``scratch`` is Adam's work array (see ``nn.adam_step``); the round
+    loop passes a worker's own.  Raises TrainingDiverged on a non-finite
+    loss before a step, or on non-finite parameters after the last one.
     """
     x, y = state.dataset.x_train, state.dataset.y_train
     n = x.shape[0]
     lb = nn.backbone_size(dims)
     backbone = nn.backbone_view(state.params[:lb], dims)
     head = nn.head_view(state.params[lb:], dims)
-    if work is None:
-        work = np.empty((3, state.params.size))
-    grad, scratch = work[0], work[1:]
+    if grad is None:
+        grad = np.empty(state.params.size)
     for _ in range(cfg.local_epochs):
         order = state.rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -259,15 +275,22 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
             f"client {state.client_id}: non-finite parameters after training")
 
 
-def evaluate(partition, backbone_flat, heads, dims):
-    """Per-client test pass with one head per client, denormalized to dB."""
+def evaluate(partition, backbone_flat, heads, dims, map=map):
+    """Per-client test pass with one head per client, denormalized to dB.
+
+    ``map`` runs the passes, one per client; the round loop passes its
+    thread pool's.  The residuals reach ``metrics.bundle`` in client order.
+    """
     backbone = nn.backbone_view(backbone_flat, dims)
-    residuals = []
-    for ds, head in zip(partition.clients, heads, strict=True):
+
+    def residual(client):
+        ds, head = client
         z, _ = nn.backbone_forward(backbone, ds.x_test)
         pred, _ = nn.head_forward(head, z)
-        residuals.append((pred - ds.y_test) * ds.label_std)
-    return met.bundle(residuals)
+        return (pred - ds.y_test) * ds.label_std
+
+    return met.bundle(list(map(residual, zip(partition.clients, heads,
+                                             strict=True))))
 
 
 def _init_rngs(cfg):
@@ -282,8 +305,35 @@ def _client_rng(cfg, cid):
     return np.random.default_rng([cfg.seed, 3, cid])
 
 
+def _workers() -> int:
+    """Threads that train and evaluate a round's clients: one per CPU the
+    process may use, divided by the BLAS thread count.  That count is the
+    first of OpenBLAS's variables, in OpenBLAS's order, that holds a
+    positive integer; with none, BLAS may start a thread per core itself,
+    and a single worker keeps the two pools from fighting over the cores.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        try:
+            blas_threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas_threads > 0:
+            return max(1, cpus // blas_threads)
+    return 1
+
+
 def run_training(partition, cfg: RunConfig) -> RunResult:
-    """Run the full T-round loop; fully deterministic under cfg.seed."""
+    """Run the full T-round loop; fully deterministic under cfg.seed.
+
+    A round's clients train, and every client's test pass runs, on a pool
+    of ``_workers()`` threads.  What a round's clients send is summed in
+    participant order, so the worker count changes no output.
+    """
     dims = _model_dims(partition, cfg)
     include_head = not cfg.split_head
     rngs = _init_rngs(cfg)
@@ -299,9 +349,17 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
             nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
 
     states = _client_states(partition, cfg, dims, global_flat)
-    work = np.empty((3, lb + lh))  # see local_train
-    # The training client's params at the start of its round.
-    saved = np.empty(lb + lh)
+    workers = _workers()
+    # Each worker's buffers, taken by one task at a time: the flat gradient
+    # (then the upload's delta), Adam's scratch and what a rollback needs
+    # of the training client's params at the start of its round.  At a sync
+    # round the broadcast restores the upload's part, so when every round
+    # syncs only the rest is kept.
+    n_saved = lb + lh - (upload_len if cfg.sync_period == 1 else 0)
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put((np.empty(lb + lh), np.empty((2, nn.ADAM_BLOCK)),
+                  np.empty(n_saved)))
 
     shadow = global_flat.copy()
     cum_bytes = 0
@@ -309,49 +367,78 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
     n_payloads = 0
     history = []
 
+    def client_round(st, t, start):
+        """Train one client; with ``start``, the broadcast model of a sync
+        round, resync it first and upload after.  Returns (update, bytes,
+        nnz) at a sync round, else None, or the exception that skipped the
+        client after rolling it back."""
+        grad, scratch, saved = free.get()
+        try:
+            kept = st.params
+            if start is not None:
+                st.params[:upload_len] = start
+                kept = st.params[upload_len:]
+            saved[:kept.size] = kept
+            try:
+                local_train(st, cfg, dims, grad, scratch)
+                if start is None:
+                    return None
+                delta = np.subtract(st.params[:upload_len], start,
+                                    out=grad[:upload_len])
+                update, residual, n_bytes, nnz = comp.transmit(
+                    delta, st.residual, k, cfg.quantization, st.client_id, t)
+            except (TrainingDiverged, comp.UnencodableUpdate) as exc:
+                if start is not None:
+                    st.params[:upload_len] = start
+                kept[:] = saved[:kept.size]
+                st.adam.m[:] = 0.0
+                st.adam.v[:] = 0.0
+                st.adam.step = 0
+                return exc
+            if residual is not None:
+                st.residual[:] = residual
+            return update, n_bytes, nnz
+        finally:
+            free.put((grad, scratch, saved))
+
+    def uploads(t, outcomes):
+        """The updates among a round's outcomes, in participant order;
+        counts each payload and logs each skip."""
+        nonlocal cum_bytes, nnz_total, n_payloads
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                log.warning("round %d: %s; client skipped and rolled back",
+                            t, outcome)
+            elif outcome is not None:
+                update, n_bytes, nnz = outcome
+                cum_bytes += n_bytes
+                nnz_total += nnz
+                n_payloads += 1
+                yield update
+
     def snapshot(round_no, wall_ms):
         if include_head:
             heads = [nn.head_view(shadow[lb:], dims)] * len(states)
         else:
             heads = [nn.head_view(st.params[lb:], dims) for st in states]
-        b = evaluate(partition, shadow[:lb], heads, dims)
+        b = evaluate(partition, shadow[:lb], heads, dims, map=pool.map)
         history.append(RoundEntry(round_no, b, cum_bytes, n_payloads,
                                   nnz_total, wall_ms))
 
-    snapshot(0, 0.0)
-    t0 = time.perf_counter()
-    for t in range(cfg.rounds):
-        participants = sample_clients(len(states), cfg.client_fraction,
-                                      rngs["sample"])
-        sync = (t % cfg.sync_period == 0)
-        updates = []
-        for cid in participants:
-            st = states[cid]
-            if sync:
-                st.params[:upload_len] = global_flat
-            saved[:] = st.params
-            try:
-                local_train(st, cfg, dims, work)
-                if not sync:
-                    continue
-                update, residual, n_bytes, nnz = comp.transmit(
-                    st.params[:upload_len] - global_flat, st.residual, k,
-                    cfg.quantization, st.client_id, t)
-            except (TrainingDiverged, comp.UnencodableUpdate) as exc:
-                log.warning("round %d: %s; client skipped and rolled back",
-                            t, exc)
-                st.params[:] = saved
-                st.adam = nn.adam_init(saved.size)
-                continue
-            st.residual = residual
-            updates.append(update)
-            cum_bytes += n_bytes
-            nnz_total += nnz
-            n_payloads += 1
-        if updates:
-            global_flat = aggregate(global_flat, updates)
-        shadow = ema_update(shadow, global_flat, cfg.ema_beta)
-        snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
+    with ThreadPoolExecutor(workers) as pool:
+        snapshot(0, 0.0)
+        t0 = time.perf_counter()
+        for t in range(cfg.rounds):
+            participants = sample_clients(len(states), cfg.client_fraction,
+                                          rngs["sample"])
+            start = global_flat if t % cfg.sync_period == 0 else None
+            outcomes = pool.map(client_round,
+                                [states[cid] for cid in participants],
+                                repeat(t), repeat(start))
+            # Reads every outcome, so all of the round's tasks are done.
+            global_flat = aggregate(global_flat, uploads(t, outcomes))
+            shadow = ema_update(shadow, global_flat, cfg.ema_beta)
+            snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
 
     # Copies: a view would keep the client's whole store alive.
     heads = [global_flat[lb:].copy()] if include_head \

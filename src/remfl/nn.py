@@ -31,6 +31,9 @@ LN_EPS = 1e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Entries per pass of adam_step: 32768 float64s, so the pass's temporaries
+# stay in cache.
+ADAM_BLOCK = 32768
 
 
 class DimensionError(ValueError):
@@ -357,32 +360,40 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     """One bias-corrected Adam update, in place: ``params``, ``state.m`` and
     ``state.v`` are overwritten and ``params`` itself is returned.
 
-    ``params`` must be float64.  ``scratch`` is a (2, n) float64 work array;
-    one is allocated per call when it is not given.  The arithmetic is, in
-    this order, m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), b1, b2, eps = ADAM_*.
+    ``params`` must be a flat float64 vector.  The update runs over blocks
+    of ``ADAM_BLOCK`` entries, so its temporaries stay in cache; ``scratch``
+    is a (2, ADAM_BLOCK) float64 work array (a vector shorter than a block
+    needs only its own length), allocated per call when it is not given.
+    The arithmetic is, per entry and in this order, m = b1*m + (1-b1)*g;
+    v = b2*v + ((1-b2)*g)*g; p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) +
+    eps), b1, b2, eps = ADAM_*.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError("adam: params/grads/state shape mismatch")
     if params.dtype != np.float64:
         raise ParameterError("adam: params must be float64 to update in place")
     if scratch is None:
-        scratch = np.empty((2,) + params.shape)
-    step_dir, denom = scratch
+        scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
     state.step += 1
-    m, v = state.m, state.v
-    np.multiply(m, ADAM_BETA1, out=m)
-    np.multiply(grads, 1.0 - ADAM_BETA1, out=step_dir)
-    np.add(m, step_dir, out=m)
-    np.multiply(v, ADAM_BETA2, out=v)
-    np.multiply(grads, 1.0 - ADAM_BETA2, out=step_dir)
-    np.multiply(step_dir, grads, out=step_dir)
-    np.add(v, step_dir, out=v)
-    np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=step_dir)
-    np.multiply(step_dir, lr, out=step_dir)
-    np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=denom)
-    np.sqrt(denom, out=denom)
-    np.add(denom, ADAM_EPS, out=denom)
-    np.divide(step_dir, denom, out=step_dir)
-    np.subtract(params, step_dir, out=params)
+    bias1 = 1.0 - ADAM_BETA1 ** state.step
+    bias2 = 1.0 - ADAM_BETA2 ** state.step
+    for lo in range(0, params.size, ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        p, g = params[lo:hi], grads[lo:hi]
+        m, v = state.m[lo:hi], state.v[lo:hi]
+        step_dir, denom = scratch[:, :p.size]
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=step_dir)
+        np.add(m, step_dir, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step_dir)
+        np.multiply(step_dir, g, out=step_dir)
+        np.add(v, step_dir, out=v)
+        np.divide(m, bias1, out=step_dir)
+        np.multiply(step_dir, lr, out=step_dir)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, ADAM_EPS, out=denom)
+        np.divide(step_dir, denom, out=step_dir)
+        np.subtract(p, step_dir, out=p)
     return params

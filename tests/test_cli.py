@@ -590,7 +590,12 @@ def _edit_sample_row(path, line, edit):
     (lambda v: v[:-1], "fields, expected"),
     (lambda v: v[:4] + ["nan"] + v[5:], "non-finite value"),
     (lambda v: v[:-1] + ["-inf"], "non-finite value"),
-], ids=["non-numeric", "short-row", "nan-feature", "inf-label"])
+    (lambda v: ["1" + "0" * 400] + v[1:], "row outside [0, 2**32)"),
+    (lambda v: v[:1] + ["99999999999999999999"] + v[2:],
+     "col outside [0, 2**32)"),
+    (lambda v: ["-5"] + v[1:], "row outside [0, 2**32)"),
+], ids=["non-numeric", "short-row", "nan-feature", "inf-label", "huge-row",
+        "col-beyond-u32", "negative-row"])
 def test_train_malformed_sample_row_is_data_error(workspace, tmp_path, capsys,
                                                   edit, what):
     part = _copy_partition(workspace, tmp_path)

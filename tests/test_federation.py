@@ -1,5 +1,10 @@
 import dataclasses
+import itertools
 import logging
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +24,11 @@ def tiny_cfg(**kw):
                 seed=1, **TINY_ARCH)
     base.update(kw)
     return fed.RunConfig(**base)
+
+
+def pin_workers(monkeypatch, n):
+    """Run the round loop on ``n`` worker threads."""
+    monkeypatch.setattr(fed, "_workers", lambda: n)
 
 
 def one_client_state(partition, cfg, ds):
@@ -292,7 +302,9 @@ def test_aggregate_unweighted_equals_stacked_mean_bitwise(data, length, n):
     with np.errstate(over="ignore", invalid="ignore"):
         expect = theta + np.mean(np.stack(updates), axis=0)
         got = fed.aggregate(theta, updates)
+        streamed = fed.aggregate(theta, iter(updates))
     assert np.array_equal(got, expect, equal_nan=True)
+    assert np.array_equal(streamed, expect, equal_nan=True)
 
 
 def test_local_train_updates_store_in_place(small_partition):
@@ -309,14 +321,15 @@ def test_local_train_updates_store_in_place(small_partition):
 
 
 def _nan_on_last_minibatch(monkeypatch, n_calls):
-    """Make nn.huber_grad return NaN on its n_calls-th call only."""
+    """Make nn.huber_grad return NaN on its n_calls-th call only, counted
+    across the worker threads."""
     real = nn.huber_grad
-    calls = []
+    calls = itertools.count(1)  # next() on it is atomic
 
     def poisoned(pred, target, delta=1.0):
-        calls.append(1)
+        call = next(calls)
         g = real(pred, target, delta)
-        return np.full_like(g, np.nan) if len(calls) == n_calls else g
+        return np.full_like(g, np.nan) if call == n_calls else g
 
     monkeypatch.setattr(nn, "huber_grad", poisoned)
 
@@ -328,6 +341,8 @@ def test_last_step_divergence_skips_client(small_partition, monkeypatch,
     steps = [-(-ds.n_train // cfg.batch_size)
              for ds in small_partition.clients]
     # The final minibatch of client 1: the step no loss check follows.
+    # Counting calls finds it only when the clients train one by one.
+    pin_workers(monkeypatch, 1)
     _nan_on_last_minibatch(monkeypatch, steps[0] + steps[1])
     res = fed.run_training(small_partition, cfg)
     assert res.final.n_payloads == len(small_partition.clients) - 1
@@ -348,7 +363,8 @@ def test_local_train_raises_on_non_finite_final_step(small_partition,
 def test_diverged_client_is_rolled_back(small_partition, monkeypatch, mode):
     cfg = tiny_cfg(mode=mode, rounds=4, sync_period=1,
                    batch_size=max(ds.n_train for ds in small_partition.clients))
-    # Client 0's only step of round 0 gets a NaN gradient.
+    # The first step of round 0, of client 0 or 1, gets a NaN gradient.
+    pin_workers(monkeypatch, 2)
     _nan_on_last_minibatch(monkeypatch, 1)
     res = fed.run_training(small_partition, cfg)
     n = len(small_partition.clients)
@@ -358,7 +374,9 @@ def test_diverged_client_is_rolled_back(small_partition, monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["fedavg", "pfl"])
-def test_client_with_inf_label_is_skipped_every_round(small_partition, mode):
+def test_client_with_inf_label_is_skipped_every_round(small_partition,
+                                                      monkeypatch, mode):
+    pin_workers(monkeypatch, 2)
     clients = list(small_partition.clients)
     clients[1] = dataclasses.replace(
         clients[1], y_train=np.full_like(clients[1].y_train, np.inf))
@@ -379,6 +397,7 @@ def test_rollback_restores_start_params_with_fresh_optimizer(
     # next call sees exactly what the rollback left behind.  Failing in
     # round 1 only, the client has Adam history that must not survive.
     cfg = tiny_cfg(rounds=3, sync_period=3)
+    pin_workers(monkeypatch, 2)
     real = fed.local_train
     entries = []  # client 0's (params, m, v, step) at each call
 
@@ -408,6 +427,7 @@ def test_rollback_restores_start_params_with_fresh_optimizer(
 def test_unquantizable_upload_rolls_back_and_keeps_residual(
         small_partition, monkeypatch, caplog):
     cfg = tiny_cfg(rounds=1, sync_period=1)
+    pin_workers(monkeypatch, 2)
     real_quantize, real_train = comp.quantize, fed.local_train
     seen = {}  # client 1: its state and params at the start of the round
 
@@ -445,14 +465,14 @@ class _SkipLog(logging.Handler):
 
 
 def _run_counting_adam_steps(partition, cfg, poison_at=None, index=0):
-    """(result, adam_step calls, skipped rounds); with ``poison_at``, the
-    gradient of that call (1-based) gets a NaN at ``index``."""
+    """(result, adam_step calls, skipped rounds) on two workers; with
+    ``poison_at``, the gradient of that call (1-based, counted across the
+    workers) gets a NaN at ``index``."""
     real = nn.adam_step
-    calls = []
+    calls = itertools.count(1)  # next() on it is atomic
 
     def counted(state, params, grads, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == poison_at:
+        if next(calls) == poison_at:
             grads[index % grads.size] = np.nan
         return real(state, params, grads, *args, **kwargs)
 
@@ -461,11 +481,12 @@ def _run_counting_adam_steps(partition, cfg, poison_at=None, index=0):
     logger.addHandler(skips)
     try:
         with pytest.MonkeyPatch.context() as mp:
+            pin_workers(mp, 2)
             mp.setattr(nn, "adam_step", counted)
             res = fed.run_training(partition, cfg)
     finally:
         logger.removeHandler(skips)
-    return res, len(calls), skips.rounds
+    return res, next(calls) - 1, skips.rounds
 
 
 @settings(max_examples=10)
@@ -482,3 +503,116 @@ def test_one_injected_nan_costs_exactly_one_payload(small_partition, data):
     assert np.all(np.isfinite(res.global_flat))
     assert res.final.n_payloads == clean.final.n_payloads - 1
     assert len(skipped) == 1
+
+
+# ---------------------------------------------------------------------------
+# clients on worker threads
+# ---------------------------------------------------------------------------
+
+def _outputs(res):
+    """Every output of a run but its wall times, as bytes and values."""
+    history = [(e.round, e.cum_bytes, e.n_payloads, e.nnz_total,
+                e.bundle.rmse_micro, e.bundle.rmse_macro, e.bundle.mae_macro,
+                e.bundle.per_bs_rmse.tobytes(),
+                e.bundle.per_client_rmse.tobytes()) for e in res.history]
+    return (res.global_flat.tobytes(), [h.tobytes() for h in res.heads],
+            history)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(), dict(mode="fedavg"), dict(client_fraction=0.5),
+    dict(sync_period=1)], ids=["pfl", "fedavg", "half-sampled", "sync-1"])
+def test_worker_count_changes_no_output(small_partition, monkeypatch, kw):
+    cfg = tiny_cfg(rounds=4, **kw)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to expose races
+    try:
+        for n in (1, 2, 3, 6):
+            pin_workers(monkeypatch, n)
+            runs.append(_outputs(fed.run_training(small_partition, cfg)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1:] == runs[:1] * 3
+
+
+def test_skips_are_logged_in_participant_order(small_partition, monkeypatch,
+                                               caplog):
+    # Client 3 fails before client 1 does; the log still names 1 first.
+    cfg = tiny_cfg(rounds=1, sync_period=1)
+    pin_workers(monkeypatch, 2)
+    real = fed.local_train
+    three_failed = threading.Event()
+
+    def train(state, *args, **kwargs):
+        if state.client_id == 1:
+            assert three_failed.wait(timeout=60)
+            time.sleep(0.1)
+        elif state.client_id == 3:
+            three_failed.set()
+        else:
+            return real(state, *args, **kwargs)
+        raise fed.TrainingDiverged(f"client {state.client_id}: injected")
+
+    monkeypatch.setattr(fed, "local_train", train)
+    with caplog.at_level(logging.WARNING, logger="remfl.federation"):
+        res = fed.run_training(small_partition, cfg)
+    skipped = [r.getMessage() for r in caplog.records
+               if "client skipped" in r.getMessage()]
+    assert len(skipped) == 2
+    assert "client 1:" in skipped[0] and "client 3:" in skipped[1]
+    assert res.final.n_payloads == len(small_partition.clients) - 2
+
+
+def test_unexpected_error_propagates_and_stops_the_workers(small_partition,
+                                                          monkeypatch):
+    pin_workers(monkeypatch, 2)
+    real = fed.local_train
+
+    def train(state, *args, **kwargs):
+        if state.client_id == 2:
+            raise KeyError("injected")
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(fed, "local_train", train)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="injected"):
+        fed.run_training(small_partition, tiny_cfg())
+    assert threading.active_count() == before
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, want", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 4),
+    # As OpenBLAS does, a value that is not a positive count is passed over.
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "abc", "GOTO_NUM_THREADS": "2"}, 2),
+], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items()) or "unset")
+    if isinstance(v, dict) else None)
+def test_workers_are_cpus_over_blas_threads(monkeypatch, env, want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    for name in BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert fed._workers() == want
+
+
+def test_workers_without_affinity_use_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for name in BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert fed._workers() == 3

@@ -359,12 +359,12 @@ def _adam_reference(m, v, p, g, t, lr, b1=nn.ADAM_BETA1, b2=nn.ADAM_BETA2,
 
 def test_adam_in_place_matches_reference_bitwise():
     rng = np.random.default_rng(11)
-    n = 257
+    n = 2 * nn.ADAM_BLOCK + 257  # two whole blocks and a remainder
     state = nn.adam_init(n)
     m0, v0 = state.m, state.v
     p = rng.normal(size=n)
     ref_m, ref_v, ref_p = np.zeros(n), np.zeros(n), p.copy()
-    scratch = np.empty((2, n))
+    scratch = np.empty((2, nn.ADAM_BLOCK))
     for t in range(1, 21):
         g = rng.normal(size=n) * rng.uniform(1e-4, 10.0)
         out = nn.adam_step(state, p, g, lr=3e-3, scratch=scratch)
