@@ -495,6 +495,15 @@ def _read_samples_csv(path, n_features, n_bs):
             table[:, 4 + n_features:].copy())
 
 
+def _read_samples(path, n_features, n_bs):
+    """``_read_samples_csv``, where a file with no sample is an
+    IngestionError: every client of a partition trains and is tested."""
+    rc, x, y = _read_samples_csv(path, n_features, n_bs)
+    if not rc.shape[0]:
+        raise IngestionError(f"{path}: no samples")
+    return rc, x, y
+
+
 def export_partition(partition: ScenarioPartition, outdir):
     os.makedirs(outdir, exist_ok=True)
     write_kv(os.path.join(outdir, "partition.txt"), [
@@ -552,14 +561,33 @@ def _finite_positive(text) -> float:
     return value
 
 
+def _positive_int(text) -> int:
+    """An int >= 1, else a ValueError (for ``_field``)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def load_partition(indir) -> ScenarioPartition:
+    """The partition ``export_partition`` wrote to ``indir``.  Only what
+    that writer can produce loads: ``clients`` = ``rows`` x ``cols`` >= 1,
+    and at least one training and one test sample per client.  Anything
+    else is an IngestionError naming the file, and the key where there is
+    one."""
     meta_path = os.path.join(indir, "partition.txt")
     if not os.path.exists(meta_path):
         raise IngestionError(f"no partition.txt under {indir}")
     meta = read_kv(meta_path)
     n_bs = _field(meta, "bs", int, meta_path)
     n_features = _field(meta, "features", int, meta_path)
+    rows = _field(meta, "rows", _positive_int, meta_path)
+    cols = _field(meta, "cols", _positive_int, meta_path)
     n_clients = _field(meta, "clients", int, meta_path)
+    if n_clients != rows * cols:
+        raise IngestionError(
+            f"{meta_path}: key 'clients' is {n_clients}, but rows x cols "
+            f"is {rows * cols}")
     clients = []
     for k in range(n_clients):
         cdir = os.path.join(indir, f"client_{k:03d}")
@@ -570,8 +598,8 @@ def load_partition(indir) -> ScenarioPartition:
             return _field(stats, key, float, stats_path)
 
         (rc_tr, x_tr, y_tr), (rc_te, x_te, y_te) = [
-            _read_samples_csv(os.path.join(cdir, f"{split}.csv"), n_features,
-                              n_bs) for split in ("train", "test")]
+            _read_samples(os.path.join(cdir, f"{split}.csv"), n_features,
+                          n_bs) for split in ("train", "test")]
         clients.append(ClientDataset(
             client_id=k,
             tile=(_field(stats, "tile_row", int, stats_path),
@@ -585,9 +613,7 @@ def load_partition(indir) -> ScenarioPartition:
             label_std=np.asarray(
                 _field(stats, "label_std", _finite_positive, stats_path))))
     return ScenarioPartition(
-        _field(meta, "scenario", str, meta_path), clients,
-        _field(meta, "rows", int, meta_path),
-        _field(meta, "cols", int, meta_path),
+        _field(meta, "scenario", str, meta_path), clients, rows, cols,
         _field(meta, "seed", int, meta_path),
         _field(meta, "neighbor_mix", float, meta_path),
         _field(meta, "q33", float, meta_path),

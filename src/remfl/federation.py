@@ -20,6 +20,13 @@ parameters at the start of the round with a fresh optimizer (zero Adam
 moments, step 0), and skipped for that round.  Heads leave a run as flat
 vectors, slices of the client stores.
 
+Clients train and evaluate in ``CLIENT_DTYPE`` (float32): their stores,
+Adam moments, residuals, data and work buffers, and the copies of the
+broadcast and of the EMA shadow they read.  The server keeps float64: the
+global model, the aggregate, the EMA shadow and the metrics.  A client's
+delta is taken against the float32 broadcast it resynced to, so a client
+that takes no step sends an exactly zero delta.
+
 A round's clients train, and every client's test pass runs, on a thread
 pool of ``_workers()`` threads, each with its own gradient, Adam and
 rollback buffers; a client's state is touched only by its own task.  The
@@ -30,6 +37,7 @@ it arrives, so the worker count changes no output.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import os
@@ -63,6 +71,8 @@ MODE_ALIASES = {"epfl": "pfl"}
 # evaluated as it is.
 FEDAVG = dict(split_head=False, sparsity=1.0, quantization=False,
               sync_period=1, ema_beta=0.0, head="single")
+# What clients train and evaluate in; the server's state stays float64.
+CLIENT_DTYPE = np.float32
 
 
 @dataclass
@@ -146,9 +156,10 @@ class RoundEntry:
 class ClientState:
     """One client's model, optimizer and data.
 
-    ``params`` is the client's parameter store: one float64 vector holding
-    the backbone then the head in wire order (see ``nn.backbone_view`` and
-    ``nn.head_view``).
+    ``params`` is the client's parameter store: one ``CLIENT_DTYPE``
+    vector holding the backbone then the head in wire order (see
+    ``nn.backbone_view`` and ``nn.head_view``).  The Adam moments, the
+    residual and the dataset's x/y arrays are ``CLIENT_DTYPE`` too.
     """
 
     client_id: int
@@ -215,15 +226,25 @@ def _model_dims(partition, cfg: RunConfig) -> nn.ModelDims:
         head=cfg.head, head_hidden=cfg.head_hidden, dropout=cfg.dropout)
 
 
+def _client_data(ds: dat.ClientDataset) -> dat.ClientDataset:
+    """``ds`` with its x/y arrays in ``CLIENT_DTYPE``; the label statistics
+    stay as they are, so de-normalized residuals are float64."""
+    return dataclasses.replace(ds, **{
+        key: getattr(ds, key).astype(CLIENT_DTYPE)
+        for key in ("x_train", "y_train", "x_test", "y_test")})
+
+
 def _client_states(partition, cfg: RunConfig, dims, start):
-    """One state per client, each on its own store.  The backbone comes from
-    ``start``, and so does the head when ``start`` holds one; otherwise each
-    client draws its own personal head.  Error feedback carries only what
-    Top-K drops, so at ``sparsity`` 1 (no Top-K) there is no residual."""
+    """One state per client, each on its own ``CLIENT_DTYPE`` store.  The
+    backbone comes from ``start``, and so does the head when ``start`` holds
+    one; otherwise each client draws its own personal head.  Error feedback
+    carries only what Top-K drops, so at ``sparsity`` 1 (no Top-K) there is
+    no residual.  Each dataset is the partition's, cast by
+    ``_client_data``."""
     lb = nn.backbone_size(dims)
     states = []
     for ds in partition.clients:
-        p = np.empty(lb + nn.head_size(dims))
+        p = np.empty(lb + nn.head_size(dims), CLIENT_DTYPE)
         p[:start.size] = start
         if start.size == lb:
             p[lb:] = nn.flatten_head(
@@ -231,10 +252,11 @@ def _client_states(partition, cfg: RunConfig, dims, start):
         states.append(ClientState(
             client_id=ds.client_id,
             params=p,
-            residual=np.zeros(start.size) if cfg.sparsity < 1.0 else None,
-            adam=nn.adam_init(p.size),
+            residual=(np.zeros(start.size, CLIENT_DTYPE)
+                      if cfg.sparsity < 1.0 else None),
+            adam=nn.adam_init(p.size, CLIENT_DTYPE),
             rng=_client_rng(cfg, ds.client_id),
-            dataset=ds))
+            dataset=_client_data(ds)))
     return states
 
 
@@ -242,10 +264,12 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
                 grad=None, scratch=None):
     """E epochs of seeded minibatch Adam on the client's store with Huber loss.
 
-    ``grad`` receives each step's flat gradient (one float64 per parameter)
-    and ``scratch`` is Adam's work array (see ``nn.adam_step``); the round
-    loop passes a worker's own.  Raises TrainingDiverged on a non-finite
-    loss before a step, or on non-finite parameters after the last one.
+    Everything runs in the store's dtype, which the dataset's arrays share.
+    ``grad`` receives each step's flat gradient (one value per parameter,
+    in that dtype) and ``scratch`` is Adam's work array (see
+    ``nn.adam_step``); the round loop passes a worker's own.  Raises
+    TrainingDiverged on a non-finite loss before a step, or on non-finite
+    parameters after the last one.
     """
     x, y = state.dataset.x_train, state.dataset.y_train
     n = x.shape[0]
@@ -253,7 +277,7 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
     backbone = nn.backbone_view(state.params[:lb], dims)
     head = nn.head_view(state.params[lb:], dims)
     if grad is None:
-        grad = np.empty(state.params.size)
+        grad = np.empty_like(state.params)
     for _ in range(cfg.local_epochs):
         order = state.rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -275,11 +299,13 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
             f"client {state.client_id}: non-finite parameters after training")
 
 
-def evaluate(partition, backbone_flat, heads, dims, map=map):
+def evaluate(datasets, backbone_flat, heads, dims, map=map):
     """Per-client test pass with one head per client, denormalized to dB.
 
-    ``map`` runs the passes, one per client; the round loop passes its
-    thread pool's.  The residuals reach ``metrics.bundle`` in client order.
+    The passes run in the dtype of ``backbone_flat``, and each residual is
+    scaled by the client's label std in float64.  ``map`` runs the passes,
+    one per client; the round loop passes its thread pool's.  The residuals
+    reach ``metrics.bundle`` in client order.
     """
     backbone = nn.backbone_view(backbone_flat, dims)
 
@@ -287,10 +313,9 @@ def evaluate(partition, backbone_flat, heads, dims, map=map):
         ds, head = client
         z, _ = nn.backbone_forward(backbone, ds.x_test)
         pred, _ = nn.head_forward(head, z)
-        return (pred - ds.y_test) * ds.label_std
+        return np.multiply(pred - ds.y_test, ds.label_std, dtype=np.float64)
 
-    return met.bundle(list(map(residual, zip(partition.clients, heads,
-                                             strict=True))))
+    return met.bundle(list(map(residual, zip(datasets, heads, strict=True))))
 
 
 def _init_rngs(cfg):
@@ -349,6 +374,7 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
             nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
 
     states = _client_states(partition, cfg, dims, global_flat)
+    datasets = [st.dataset for st in states]
     workers = _workers()
     # Each worker's buffers, taken by one task at a time: the flat gradient
     # (then the upload's delta), Adam's scratch and what a rollback needs
@@ -358,8 +384,9 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
     n_saved = lb + lh - (upload_len if cfg.sync_period == 1 else 0)
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((np.empty(lb + lh), np.empty((2, nn.ADAM_BLOCK)),
-                  np.empty(n_saved)))
+        free.put((np.empty(lb + lh, CLIENT_DTYPE),
+                  np.empty((2, nn.ADAM_BLOCK), CLIENT_DTYPE),
+                  np.empty(n_saved, CLIENT_DTYPE)))
 
     shadow = global_flat.copy()
     cum_bytes = 0
@@ -369,9 +396,9 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
 
     def client_round(st, t, start):
         """Train one client; with ``start``, the broadcast model of a sync
-        round, resync it first and upload after.  Returns (update, bytes,
-        nnz) at a sync round, else None, or the exception that skipped the
-        client after rolling it back."""
+        round in ``CLIENT_DTYPE``, resync it first and upload after.
+        Returns (update, bytes, nnz) at a sync round, else None, or the
+        exception that skipped the client after rolling it back."""
         grad, scratch, saved = free.get()
         try:
             kept = st.params
@@ -417,11 +444,12 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
                 yield update
 
     def snapshot(round_no, wall_ms):
+        model = shadow.astype(CLIENT_DTYPE)
         if include_head:
-            heads = [nn.head_view(shadow[lb:], dims)] * len(states)
+            heads = [nn.head_view(model[lb:], dims)] * len(states)
         else:
             heads = [nn.head_view(st.params[lb:], dims) for st in states]
-        b = evaluate(partition, shadow[:lb], heads, dims, map=pool.map)
+        b = evaluate(datasets, model[:lb], heads, dims, map=pool.map)
         history.append(RoundEntry(round_no, b, cum_bytes, n_payloads,
                                   nnz_total, wall_ms))
 
@@ -431,7 +459,8 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
         for t in range(cfg.rounds):
             participants = sample_clients(len(states), cfg.client_fraction,
                                           rngs["sample"])
-            start = global_flat if t % cfg.sync_period == 0 else None
+            start = (global_flat.astype(CLIENT_DTYPE)
+                     if t % cfg.sync_period == 0 else None)
             outcomes = pool.map(client_round,
                                 [states[cid] for cid in participants],
                                 repeat(t), repeat(start))

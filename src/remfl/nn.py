@@ -1,12 +1,18 @@
 """Minimal dense network engine for the split backbone/head model.
 
-Everything is plain numpy in float64: a three-layer MLP backbone
+Everything is plain numpy: a three-layer MLP backbone
 (bias -> SiLU -> LayerNorm per layer, normalization applied after the
 activation) producing a latent vector, plus a per-client head of dense
 layers with SiLU between them: one for ``single``, two for ``two-layer``,
 which also has inverted dropout on its input.  Gradients are hand-written
 reverse mode; the optimizer is Adam with bias correction, updating a flat
 parameter vector and its moments in place.
+
+Every array takes its dtype from the parameters: a batch is cast to the
+weights' dtype, activations, caches, gradients and Adam's moments follow
+it, and nothing promotes a float32 model to float64 along the way.  The
+round loop keeps clients in float32 (``federation.CLIENT_DTYPE``); the
+initializers give float64.
 
 A model can live in one contiguous vector in the frozen wire order (see
 "Flat store" below): ``backbone_view``/``head_view`` give BackboneParams and
@@ -31,8 +37,8 @@ LN_EPS = 1e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Entries per pass of adam_step: 32768 float64s, so the pass's temporaries
-# stay in cache.
+# Entries per pass of adam_step: 32768 of them, 256 KiB per work row in
+# float64 and 128 KiB in float32, so the pass's temporaries stay in cache.
 ADAM_BLOCK = 32768
 
 
@@ -108,10 +114,11 @@ def _kaiming_uniform(weights, rng):
         w[:] = rng.uniform(-bound, bound, size=w.shape)
 
 
-def _rows(a, width, what):
-    """``a`` as a float64 batch of rows ``width`` wide; anything else, a
-    single 1-D sample included, is a DimensionError."""
-    a = np.asarray(a, dtype=float)
+def _rows(a, width, what, dtype):
+    """``a`` as a batch of rows ``width`` wide in ``dtype``, the weights'
+    (no copy when it already is one); anything else, a single 1-D sample
+    included, is a DimensionError."""
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[1] != width:
         raise DimensionError(
             f"{what}: expected rows of width {width}, got shape {a.shape}")
@@ -122,7 +129,8 @@ def backbone_forward(params: BackboneParams, x):
     """Forward pass over a batch of rows; returns (latent, cache), the cache
     holding each layer's (input, pre-activation, sigmoid, normalized
     activation, 1/std) for the backward pass."""
-    cur = _rows(x, params.weights[0].shape[1], "backbone input")
+    w0 = params.weights[0]
+    cur = _rows(x, w0.shape[1], "backbone input", w0.dtype)
     layers = []
     for w, b, g, s in zip(params.weights, params.biases, params.gains, params.shifts):
         a = cur @ w.T + b
@@ -139,11 +147,13 @@ def backbone_forward(params: BackboneParams, x):
 
 def backbone_backward(params: BackboneParams, cache, dz, grads):
     """Reverse pass through the backbone, writing its parameter gradients
-    into ``grads`` (a BackboneParams of float64 arrays) and returning it.
+    into ``grads`` (a BackboneParams of arrays in the parameters' dtype)
+    and returning it.
 
     dL/dx of the input is never needed, so it is not computed.
     """
-    dout = _rows(dz, params.weights[-1].shape[0], "backbone_backward")
+    w = params.weights[-1]
+    dout = _rows(dz, w.shape[0], "backbone_backward", w.dtype)
     for i in reversed(range(len(params.weights))):
         x_in, a, sig, y, inv_std = cache[i]
         np.sum(dout * y, axis=0, out=grads.gains[i])
@@ -164,13 +174,17 @@ def head_forward(params: HeadParams, z, training=False, rng=None):
     inverted-scaled at train time, identity at eval.  The cache holds the
     dropout mask (None without dropout), each layer's input, and each hidden
     layer's (pre-activation, sigmoid)."""
-    cur = _rows(z, params.weights[0].shape[1], "head input")
+    w0 = params.weights[0]
+    cur = _rows(z, w0.shape[1], "head input", w0.dtype)
     mask = None
     if training and params.dropout > 0.0:
         if rng is None:
             raise ParameterError("training dropout requires an rng")
         keep = 1.0 - params.dropout
-        mask = (rng.random(cur.shape) < keep) / keep
+        # The draw stays float64, so the stream does not depend on the
+        # dtype; a float64 mask would promote the rest of the pass.
+        mask = ((rng.random(cur.shape) < keep) / keep).astype(cur.dtype,
+                                                               copy=False)
         cur = cur * mask
     inputs, acts = [], []
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -185,9 +199,10 @@ def head_forward(params: HeadParams, z, training=False, rng=None):
 
 
 def head_backward(params: HeadParams, cache, dpred, grads):
-    """Writes the head's gradients into ``grads`` (a HeadParams of float64
-    arrays); returns (grads, dL/dz)."""
-    d = _rows(dpred, params.weights[-1].shape[0], "head_backward")
+    """Writes the head's gradients into ``grads`` (a HeadParams of arrays
+    in the parameters' dtype); returns (grads, dL/dz)."""
+    w = params.weights[-1]
+    d = _rows(dpred, w.shape[0], "head_backward", w.dtype)
     for i in reversed(range(len(params.weights))):
         if i < len(cache["acts"]):
             d = d * silu_grad(*cache["acts"][i])
@@ -203,17 +218,19 @@ def backward(backbone: BackboneParams, head: HeadParams, bcache, hcache, dpred,
              out=None):
     """Full reverse pass from a loss-gradient seed on the predictions.
 
-    Returns (backbone grads, head grads) as views of one flat float64
-    vector in wire order: ``out`` when given (the model's length), else a
-    new one.
+    Returns (backbone grads, head grads) as views of one flat vector in wire
+    order and in the parameters' dtype: ``out`` when given (it must have
+    the model's length and that dtype), else a new one.
     """
     arrays = _backbone_arrays(backbone) + _head_arrays(head)
     n = sum(a.size for a in arrays)
+    dtype = backbone.weights[0].dtype
     if out is None:
-        out = np.empty(n)
-    elif out.dtype != np.float64 or out.size != n:
+        out = np.empty(n, dtype=dtype)
+    elif out.dtype != dtype or out.size != n:
         raise DimensionError(
-            f"backward: gradient buffer must be {n} float64 values")
+            f"backward: gradient buffer must be {n} {dtype} values, "
+            f"got {out.size} {out.dtype}")
     views = _carve(out, [a.shape for a in arrays])
     nb = 4 * len(backbone.weights)
     gb = _as_backbone(views[:nb])
@@ -227,8 +244,8 @@ def huber_loss(pred, target, delta=1.0):
     """Mean Huber loss over every residual (robust to outliers)."""
     if delta <= 0:
         raise ParameterError("huber delta must be > 0")
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
+    pred = np.asarray(pred)
+    target = np.asarray(target)
     if pred.shape != target.shape:
         raise DimensionError(f"pred {pred.shape} vs target {target.shape}")
     r = pred - target
@@ -238,10 +255,11 @@ def huber_loss(pred, target, delta=1.0):
 
 
 def huber_grad(pred, target, delta=1.0):
-    """d(mean Huber)/d(pred); the seed fed into backward()."""
+    """d(mean Huber)/d(pred); the seed fed into backward(), in the dtype
+    ``pred - target`` has."""
     if delta <= 0:
         raise ParameterError("huber delta must be > 0")
-    r = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
+    r = np.subtract(pred, target)
     return np.clip(r, -delta, delta) / r.size
 
 
@@ -351,8 +369,9 @@ class AdamState:
     step: int = 0
 
 
-def adam_init(n: int) -> AdamState:
-    return AdamState(np.zeros(n), np.zeros(n), 0)
+def adam_init(n: int, dtype=np.float64) -> AdamState:
+    """Zero moments for ``n`` parameters of ``dtype``, at step 0."""
+    return AdamState(np.zeros(n, dtype), np.zeros(n, dtype), 0)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
@@ -360,40 +379,47 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     """One bias-corrected Adam update, in place: ``params``, ``state.m`` and
     ``state.v`` are overwritten and ``params`` itself is returned.
 
-    ``params`` must be a flat float64 vector.  The update runs over blocks
-    of ``ADAM_BLOCK`` entries, so its temporaries stay in cache; ``scratch``
-    is a (2, ADAM_BLOCK) float64 work array (a vector shorter than a block
-    needs only its own length), allocated per call when it is not given.
-    The arithmetic is, per entry and in this order, m = b1*m + (1-b1)*g;
-    v = b2*v + ((1-b2)*g)*g; p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) +
-    eps), b1, b2, eps = ADAM_*.
+    ``params`` is a flat vector; ``grads``, both moments and ``scratch``
+    must share its dtype, in which all of the arithmetic runs.  The update
+    runs over blocks of ``ADAM_BLOCK`` entries, so its temporaries stay in
+    cache; ``scratch`` is a (2, ADAM_BLOCK) work array (a vector shorter
+    than a block needs only its own length), allocated per call when it is
+    not given.  The arithmetic is, per entry and in this order,
+    m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), b1, b2, eps = ADAM_*.
+    A value beyond the dtype's range becomes inf or NaN without a warning;
+    the caller's finite check sees it.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DimensionError("adam: params/grads/state shape mismatch")
-    if params.dtype != np.float64:
-        raise ParameterError("adam: params must be float64 to update in place")
     if scratch is None:
-        scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
+        scratch = np.empty((2, min(ADAM_BLOCK, params.size)), params.dtype)
+    dtypes = {a.dtype for a in (params, grads, state.m, state.v, scratch)}
+    if len(dtypes) != 1:
+        raise ParameterError(
+            "adam: params, grads, moments and scratch must share one dtype, "
+            f"got {sorted(map(str, dtypes))}")
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.step
     bias2 = 1.0 - ADAM_BETA2 ** state.step
-    for lo in range(0, params.size, ADAM_BLOCK):
-        hi = lo + ADAM_BLOCK
-        p, g = params[lo:hi], grads[lo:hi]
-        m, v = state.m[lo:hi], state.v[lo:hi]
-        step_dir, denom = scratch[:, :p.size]
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1.0 - ADAM_BETA1, out=step_dir)
-        np.add(m, step_dir, out=m)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, 1.0 - ADAM_BETA2, out=step_dir)
-        np.multiply(step_dir, g, out=step_dir)
-        np.add(v, step_dir, out=v)
-        np.divide(m, bias1, out=step_dir)
-        np.multiply(step_dir, lr, out=step_dir)
-        np.divide(v, bias2, out=denom)
-        np.sqrt(denom, out=denom)
-        np.add(denom, ADAM_EPS, out=denom)
-        np.divide(step_dir, denom, out=step_dir)
-        np.subtract(p, step_dir, out=p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, params.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            p, g = params[lo:hi], grads[lo:hi]
+            m, v = state.m[lo:hi], state.v[lo:hi]
+            step_dir, denom = scratch[:, :p.size]
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=step_dir)
+            np.add(m, step_dir, out=m)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=step_dir)
+            np.multiply(step_dir, g, out=step_dir)
+            np.add(v, step_dir, out=v)
+            np.divide(m, bias1, out=step_dir)
+            np.multiply(step_dir, lr, out=step_dir)
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, ADAM_EPS, out=denom)
+            np.divide(step_dir, denom, out=step_dir)
+            np.subtract(p, step_dir, out=p)
     return params

@@ -624,3 +624,19 @@ def test_train_non_utf8_partition_file_is_data_error(workspace, tmp_path,
     err = capsys.readouterr().err
     assert "data error" in err and name.split("/")[-1] in err
     assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_client_without_samples_is_data_error(workspace, tmp_path,
+                                                    capsys, split):
+    # export_partition leaves every client at least one sample of each.
+    part = _copy_partition(workspace, tmp_path)
+    path = part / "client_002" / f"{split}.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    rc = cli.main(["train", "--partition", str(part),
+                   "--config", workspace["cfg"], *TINY_TRAIN,
+                   "-o", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{split}.csv" in err
+    assert "client_002" in err and "no samples" in err

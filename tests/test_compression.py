@@ -399,6 +399,36 @@ def test_telescoping_within_quantization_bound():
     assert np.max(np.abs(tx + res - raw)) <= bound + 1e-9
 
 
+@pytest.mark.parametrize("quantized", [True, False], ids=["qup1", "float32"])
+def test_telescoping_in_float32_through_transmit(quantized):
+    # The round loop holds delta and residual in float32.  Folding the
+    # residual in rounds once per round, by at most half a float32 ulp of
+    # the sum; QUP1 adds at most half a quantization step per round.
+    rng = np.random.default_rng(0)
+    length, k = 300, 30
+    eps = float(np.finfo(np.float32).eps)
+    residual = np.zeros(length, np.float32)
+    transmitted, raw = np.zeros(length), np.zeros(length)
+    bound = 0.0
+    for t in range(100):
+        delta = rng.normal(size=length).astype(np.float32)
+        raw += delta
+        exact_u = delta.astype(np.float64) + residual
+        update, new_residual, _, _ = comp.transmit(delta, residual, k,
+                                                   quantized, 0, t)
+        assert update.dtype == np.float64
+        transmitted += update
+        residual[:] = new_residual
+        bound += eps / 2 * np.max(np.abs(exact_u))
+        if quantized:
+            step = np.max(np.abs(update)) / comp.QMAX
+            bound += step / 2 + eps * np.max(np.abs(exact_u))
+    gap = np.max(np.abs(transmitted + residual - raw))
+    assert gap <= bound + 1e-9
+    if not quantized:
+        assert gap < 1e-3  # float32 rounding alone
+
+
 def test_top_k_non_finite_ranks_like_stable_sort():
     # NaN ranks below every magnitude and +-inf above, as a stable argsort
     # of -|u| ranks them; exact zeros are still never kept.

@@ -288,6 +288,11 @@ def test_zero_variance_client_rejected():
     ("client_001/stats.txt", "label_std", "0.0"),
     ("client_001/stats.txt", "label_std", "-0.0"),
     ("client_000/stats.txt", "label_mean", "inf"),
+    # The writer makes rows x cols >= 1 clients; this partition is 2 x 2.
+    ("partition.txt", "clients", "0"),
+    ("partition.txt", "clients", "-1"),
+    ("partition.txt", "clients", "2"),
+    ("partition.txt", "rows", "0"),
 ])
 def test_load_partition_bad_metadata_names_file_and_key(
         small_partition, tmp_path, file, key, value):

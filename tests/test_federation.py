@@ -320,6 +320,63 @@ def test_local_train_updates_store_in_place(small_partition):
     assert not np.array_equal(store[lb:], before[lb:])
 
 
+def _arrays(obj):
+    """Every array in a nest of tuples, lists, dicts and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        yield from _arrays(vars(obj))
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.values()))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def _train_recording_dtypes(partition, monkeypatch, dtype):
+    """One local_train of client 0 with ``CLIENT_DTYPE`` = ``dtype``:
+    (state, the dtype of every array nn's passes returned or Adam took,
+    the dropout masks)."""
+    cfg = tiny_cfg()
+    seen, masks = [], []
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.extend(_arrays((args, kwargs) if name == "adam_step" else out))
+            if name == "head_forward":
+                masks.append(out[1]["mask"])
+            return out
+        return wrapped
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fed, "CLIENT_DTYPE", dtype)
+        for name in ("backbone_forward", "head_forward", "huber_grad",
+                     "backward", "adam_step"):
+            mp.setattr(nn, name, record(name, getattr(nn, name)))
+        dims, st = one_client_state(partition, cfg, partition.clients[0])
+        fed.local_train(st, cfg, dims)
+    return st, {a.dtype for a in seen}, masks
+
+
+def test_float32_store_trains_without_promotion(small_partition, monkeypatch):
+    st, dtypes, masks = _train_recording_dtypes(small_partition, monkeypatch,
+                                                np.float32)
+    f32 = np.dtype(np.float32)
+    # Every cache array, the loss seed, the gradient, Adam's moments.
+    assert dtypes == {f32}
+    assert masks and all(m.dtype == f32 for m in masks)
+    assert all(a.dtype == f32 for a in (st.params, st.adam.m, st.adam.v,
+                                        st.residual, st.dataset.x_train,
+                                        st.dataset.y_train))
+    # The dropout draw is float64 either way: the rng stream does not move.
+    ref, ref_dtypes, _ = _train_recording_dtypes(small_partition,
+                                                 monkeypatch, np.float64)
+    assert ref_dtypes == {np.dtype(np.float64)}
+    assert st.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert np.allclose(st.params, ref.params, atol=1e-4)
+
+
 def _nan_on_last_minibatch(monkeypatch, n_calls):
     """Make nn.huber_grad return NaN on its n_calls-th call only, counted
     across the worker threads."""

@@ -358,29 +358,48 @@ def _adam_reference(m, v, p, g, t, lr, b1=nn.ADAM_BETA1, b2=nn.ADAM_BETA2,
 
 
 def test_adam_in_place_matches_reference_bitwise():
-    rng = np.random.default_rng(11)
-    n = 2 * nn.ADAM_BLOCK + 257  # two whole blocks and a remainder
-    state = nn.adam_init(n)
-    m0, v0 = state.m, state.v
-    p = rng.normal(size=n)
-    ref_m, ref_v, ref_p = np.zeros(n), np.zeros(n), p.copy()
-    scratch = np.empty((2, nn.ADAM_BLOCK))
-    for t in range(1, 21):
-        g = rng.normal(size=n) * rng.uniform(1e-4, 10.0)
-        out = nn.adam_step(state, p, g, lr=3e-3, scratch=scratch)
-        ref_m, ref_v, ref_p = _adam_reference(ref_m, ref_v, ref_p, g, t, 3e-3)
-        assert out is p
-        assert np.array_equal(p, ref_p)
-        assert np.array_equal(state.m, ref_m)
-        assert np.array_equal(state.v, ref_v)
-    assert state.m is m0 and state.v is v0
-    assert state.step == 20
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(11)
+        n = 2 * nn.ADAM_BLOCK + 257  # two whole blocks and a remainder
+        state = nn.adam_init(n, dtype)
+        m0, v0 = state.m, state.v
+        p = rng.normal(size=n).astype(dtype)
+        ref_m, ref_v, ref_p = np.zeros(n, dtype), np.zeros(n, dtype), p.copy()
+        scratch = np.empty((2, nn.ADAM_BLOCK), dtype)
+        for t in range(1, 21):
+            g = (rng.normal(size=n) * rng.uniform(1e-4, 10.0)).astype(dtype)
+            out = nn.adam_step(state, p, g, lr=3e-3, scratch=scratch)
+            ref_m, ref_v, ref_p = _adam_reference(ref_m, ref_v, ref_p, g, t,
+                                                  3e-3)
+            assert out is p
+            assert ref_p.dtype == dtype
+            assert np.array_equal(p, ref_p)
+            assert np.array_equal(state.m, ref_m)
+            assert np.array_equal(state.v, ref_v)
+        assert state.m is m0 and state.v is v0
+        assert state.step == 20
 
 
-def test_adam_rejects_non_double_params():
-    with pytest.raises(nn.ParameterError):
-        nn.adam_step(nn.adam_init(3), np.zeros(3, dtype=np.float32),
-                     np.zeros(3))
+@pytest.mark.parametrize("odd", ["params", "grads", "m", "v", "scratch"])
+def test_adam_rejects_mixed_dtypes(odd):
+    arrays = {"params": np.zeros(3), "grads": np.ones(3), "m": np.zeros(3),
+              "v": np.zeros(3), "scratch": np.empty((2, 3))}
+    arrays[odd] = arrays[odd].astype(np.float32)
+    state = nn.AdamState(arrays["m"], arrays["v"])
+    with pytest.raises(nn.ParameterError, match="one dtype"):
+        nn.adam_step(state, arrays["params"], arrays["grads"],
+                     scratch=arrays["scratch"])
+    assert state.step == 0 and not arrays["params"].any()
+
+
+def test_adam_float32_overflow_is_non_finite_not_an_error():
+    # lr=1e300 does not fit in float32; the caller's finite check, not a
+    # floating-point error, has to see that.
+    p = np.ones(4, np.float32)
+    with np.errstate(all="raise"):
+        nn.adam_step(nn.adam_init(4, np.float32), p, np.ones(4, np.float32),
+                     lr=1e300)
+    assert not np.isfinite(p).any()
 
 
 @pytest.mark.parametrize("head", ["two-layer", "single"])
@@ -403,10 +422,20 @@ def test_backward_into_buffer_equals_allocating_backward(head):
 
 def test_backward_rejects_wrong_buffer():
     dims, bb, hd = tiny_model()
-    z, bc = nn.backbone_forward(bb, np.zeros((1, 4)))
-    pred, hc = nn.head_forward(hd, z)
-    with pytest.raises(nn.DimensionError):
-        nn.backward(bb, hd, bc, hc, np.zeros_like(pred), out=np.zeros(3))
+    flat64 = _flat_params(bb, hd)
+    lb = nn.backbone_size(dims)
+    for params, buffer in [(flat64, np.zeros(3)),
+                           (flat64, np.zeros(flat64.size, np.float32)),
+                           (flat64.astype(np.float32), np.zeros(flat64.size))]:
+        bb = nn.backbone_view(params[:lb], dims)
+        hd = nn.head_view(params[lb:], dims)
+        z, bc = nn.backbone_forward(bb, np.zeros((1, 4)))
+        pred, hc = nn.head_forward(hd, z)
+        with pytest.raises(nn.DimensionError):
+            nn.backward(bb, hd, bc, hc, np.zeros_like(pred), out=buffer)
+        # Without a buffer, the gradients take the parameters' dtype.
+        gb, _ = nn.backward(bb, hd, bc, hc, np.zeros_like(pred))
+        assert gb.weights[0].dtype == params.dtype
 
 
 def test_silu_grad_from_cached_sigmoid_is_exact():
