@@ -440,7 +440,77 @@ def test_backward_rejects_wrong_buffer():
 
 def test_silu_grad_from_cached_sigmoid_is_exact():
     a = RNG.normal(size=1000) * 8
-    assert np.array_equal(nn.silu_grad(a, expit(a)), nn.silu_grad(a))
+    assert np.array_equal(nn.silu_grad(a, nn.sigmoid(a)), nn.silu_grad(a))
+
+
+# ---------------------------------------------------------------------------
+# element-wise kernels of the passes
+# ---------------------------------------------------------------------------
+
+SIGMOID_TOL = {np.float32: 1e-7, np.float64: 1e-15}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_expit_and_keeps_dtype(dtype):
+    x = np.concatenate([np.linspace(-100, 100, 200_001),
+                        [1e30, -1e30, np.inf, -np.inf, 0.0, -0.0]]).astype(dtype)
+    with np.errstate(all="raise"):
+        s = nn.sigmoid(x)
+    # The error against the float64 expit of the same inputs: within a
+    # rounding of the exact value (a float32 expit may sit one ulp off).
+    ref = expit(x.astype(np.float64))
+    assert s.dtype == dtype
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    assert np.max(np.abs(s - ref)) <= SIGMOID_TOL[dtype]
+    assert np.array_equal(s[-6:], [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_of_zero_is_one_half_and_writes_into_out(dtype):
+    x = np.array([[0.0, -0.0], [3.0, -3.0]], dtype)
+    out = np.empty_like(x)
+    assert nn.sigmoid(x, out=out) is out
+    assert out[0, 0] == 0.5 and out[0, 1] == 0.5
+    assert np.array_equal(out, nn.sigmoid(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.05, 0.1, 0.3, 0.5, 0.9])
+def test_dropout_mask_equals_cast_division_bitwise(dtype, dropout):
+    # The mask as 0/(1/keep) rounded to the dtype, against the formula
+    # ((draw < keep) / keep) cast from float64, on the same draws.
+    dims = nn.ModelDims(in_dim=3, n_outputs=2, latent=64, head_hidden=8,
+                        dropout=dropout)
+    head = nn.head_view(np.zeros(nn.head_size(dims), dtype), dims)
+    z = np.ones((16, 64), dtype)
+    _, cache = nn.head_forward(head, z, training=True,
+                               rng=np.random.default_rng(7))
+    keep = 1.0 - dropout
+    draw = np.random.default_rng(7).random(z.shape)
+    old = ((draw < keep) / keep).astype(dtype)
+    assert cache["mask"].dtype == dtype
+    assert cache["mask"].tobytes() == old.tobytes()
+
+
+def test_layer_norm_statistics_match_mean_and_var_in_float32():
+    # Rows of each layer's activation h = a·σ(a), normalized by the row
+    # statistics numpy's mean/var give, within float32 rounding.
+    rng = np.random.default_rng(5)
+    dims = nn.ModelDims(in_dim=6, n_outputs=1, hidden1=64, hidden2=128,
+                        latent=512)
+    flat = np.zeros(nn.backbone_size(dims), np.float32)
+    bb = nn.backbone_view(flat, dims)
+    for arrs in (bb.weights, bb.biases, bb.gains, bb.shifts):
+        for a in arrs:
+            a[...] = rng.normal(size=a.shape)
+    _, cache = nn.backbone_forward(bb, rng.normal(size=(32, 6)))
+    for _, a, sig, y, inv_std in cache:
+        h = (a * sig).astype(np.float64)
+        mu = h.mean(axis=-1, keepdims=True)
+        ref_inv = 1.0 / np.sqrt(h.var(axis=-1, keepdims=True) + nn.LN_EPS)
+        assert y.dtype == inv_std.dtype == np.float32
+        assert np.allclose(inv_std, ref_inv, rtol=1e-5, atol=0.0)
+        assert np.allclose(y, (h - mu) * ref_inv, rtol=1e-4, atol=1e-5)
 
 
 def test_views_write_through_and_unflatten_copies():
