@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime error.
 Run configuration is a flat key=value file (see ``train --print-config``);
 unknown keys are rejected.  Every run directory gets a manifest recording
-the configuration and its hash.
+the configuration and its hash, the worker count and the BLAS thread
+setting it came from, and the python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import hashlib
 import logging
 import math
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import compression as comp
 from . import data as dat
@@ -232,8 +235,12 @@ def _run_and_export(partition, cfg, outdir, scenario):
     os.makedirs(outdir, exist_ok=True)
     result = fed.run_training(partition, cfg)
     fed.write_roundlog(result, scenario, os.path.join(outdir, "roundlog.csv"))
-    write_manifest(cfg, os.path.join(outdir, "manifest.txt"),
-                   extra=[("scenario", scenario)])
+    blas = fed.blas_threads()
+    write_manifest(cfg, os.path.join(outdir, "manifest.txt"), extra=[
+        ("scenario", scenario), ("workers", result.workers),
+        ("blas_threads", "unset" if blas is None else "%s=%d" % blas),
+        ("python", platform.python_version()), ("numpy", np.__version__),
+        ("scipy", scipy.__version__)])
     _save_models(result, outdir)
     return result
 

@@ -27,12 +27,18 @@ global model, the aggregate, the EMA shadow and the metrics.  A client's
 delta is taken against the float32 broadcast it resynced to, so a client
 that takes no step sends an exactly zero delta.
 
-A round's clients train, and every client's test pass runs, on a thread
-pool of ``_workers()`` threads, each with its own gradient, Adam and
-rollback buffers; a client's state is touched only by its own task.  The
-broadcast model is read-only while they run.  The server takes their
-uploads, and logs their skips, in participant order, summing each update as
-it arrives, so the worker count changes no output.
+A round's clients train, and every client's test pass runs, on
+``_workers()`` processes forked once per run.  The client stores are rows
+of matrices on anonymous shared mappings, so a worker updates a client in
+place and nothing large is pickled: a task carries a client's index, RNG
+state and Adam step, and returns the new state and step with its outcome;
+the parent's copy of those two is authoritative.  The broadcast of a sync
+round, each upload's decoded update (one float64 result slot per
+participant), the float32 copy of the EMA shadow that evaluation reads and
+the de-normalized test residuals are shared the same way.  The server takes
+the uploads, and logs the skips, in participant order, so the worker count
+changes no output.  At one worker the same tasks run in the calling process
+and nothing is forked.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import mmap
+import multiprocessing
 import os
-import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -159,7 +167,11 @@ class ClientState:
     ``params`` is the client's parameter store: one ``CLIENT_DTYPE``
     vector holding the backbone then the head in wire order (see
     ``nn.backbone_view`` and ``nn.head_view``).  The Adam moments, the
-    residual and the dataset's x/y arrays are ``CLIENT_DTYPE`` too.
+    residual and the dataset's x/y arrays are ``CLIENT_DTYPE`` too.  The
+    store, the moments and the residual are this client's rows of the run's
+    shared matrices (see ``_client_states``), so a forked worker writes them
+    in place; ``rng`` and ``adam.step`` are per-process copies that a task
+    carries to the worker and back.
     """
 
     client_id: int
@@ -179,6 +191,7 @@ class RunResult:
     dims: nn.ModelDims
     upload_len: int
     k: int
+    workers: int  # processes that trained and evaluated the clients
 
     @property
     def final(self) -> RoundEntry:
@@ -234,17 +247,32 @@ def _client_data(ds: dat.ClientDataset) -> dat.ClientDataset:
         for key in ("x_train", "y_train", "x_test", "y_test")})
 
 
+def _shared(dtype, *shape) -> np.ndarray:
+    """A zeroed array on an anonymous shared mapping: processes forked
+    after it is made write it in place and see each other's writes."""
+    n = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, n * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, n).reshape(shape)
+
+
 def _client_states(partition, cfg: RunConfig, dims, start):
-    """One state per client, each on its own ``CLIENT_DTYPE`` store.  The
+    """One state per client.  The stores, the Adam moments and the residuals
+    are ``CLIENT_DTYPE`` matrices with one row per client, on shared
+    mappings (``_shared``), and each state's arrays are its rows.  The
     backbone comes from ``start``, and so does the head when ``start`` holds
     one; otherwise each client draws its own personal head.  Error feedback
     carries only what Top-K drops, so at ``sparsity`` 1 (no Top-K) there is
     no residual.  Each dataset is the partition's, cast by
     ``_client_data``."""
     lb = nn.backbone_size(dims)
+    shape = len(partition.clients), lb + nn.head_size(dims)
+    params = _shared(CLIENT_DTYPE, *shape)
+    m, v = _shared(CLIENT_DTYPE, *shape), _shared(CLIENT_DTYPE, *shape)
+    residuals = (_shared(CLIENT_DTYPE, shape[0], start.size)
+                 if cfg.sparsity < 1.0 else None)
     states = []
-    for ds in partition.clients:
-        p = np.empty(lb + nn.head_size(dims), CLIENT_DTYPE)
+    for i, ds in enumerate(partition.clients):
+        p = params[i]
         p[:start.size] = start
         if start.size == lb:
             p[lb:] = nn.flatten_head(
@@ -252,9 +280,8 @@ def _client_states(partition, cfg: RunConfig, dims, start):
         states.append(ClientState(
             client_id=ds.client_id,
             params=p,
-            residual=(np.zeros(start.size, CLIENT_DTYPE)
-                      if cfg.sparsity < 1.0 else None),
-            adam=nn.adam_init(p.size, CLIENT_DTYPE),
+            residual=None if residuals is None else residuals[i],
+            adam=nn.AdamState(m[i], v[i]),
             rng=_client_rng(cfg, ds.client_id),
             dataset=_client_data(ds)))
     return states
@@ -267,7 +294,7 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
     Everything runs in the store's dtype, which the dataset's arrays share.
     ``grad`` receives each step's flat gradient (one value per parameter,
     in that dtype) and ``scratch`` is Adam's work array (see
-    ``nn.adam_step``); the round loop passes a worker's own.  Raises
+    ``nn.adam_step``); the round loop passes its process's own.  Raises
     TrainingDiverged on a non-finite loss before a step, or on non-finite
     parameters after the last one.
     """
@@ -299,23 +326,114 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
             f"client {state.client_id}: non-finite parameters after training")
 
 
-def evaluate(datasets, backbone_flat, heads, dims, map=map):
-    """Per-client test pass with one head per client, denormalized to dB.
+@dataclass
+class _Run:
+    """What a run's tasks read.  The parent makes it before the workers
+    fork, so each inherits it; its arrays are on shared mappings."""
 
-    The passes run in the dtype of ``backbone_flat``, and each residual is
-    scaled by the client's label std in float64.  ``map`` runs the passes,
-    one per client; the round loop passes its thread pool's.  The residuals
-    reach ``metrics.bundle`` in client order.
+    cfg: RunConfig
+    dims: nn.ModelDims
+    states: list
+    upload_len: int
+    k: int
+    start: np.ndarray      # a sync round's broadcast, in CLIENT_DTYPE
+    slots: np.ndarray      # float64 decoded updates, row j for participant j
+    model: np.ndarray      # the EMA shadow in CLIENT_DTYPE, for evaluation
+    residuals: np.ndarray  # float64 test residuals of every client, in order
+    rows: list             # client i's residuals are rows[i]:rows[i + 1]
+    ranges: list           # (first, end) clients of each evaluation task
+    buffers: tuple | None = None  # this process's own; see _train_task
+
+
+_run: _Run | None = None  # the run in progress, as each process sees it
+
+
+def _train_task(i, t, sync, slot, rng_state, step):
+    """Train client ``i`` in round ``t``, starting from the RNG state and
+    Adam step the parent holds; at a ``sync`` round, resync it to the
+    broadcast first and upload after, with the decoded update written to
+    result slot ``slot``.
+
+    Returns (outcome, RNG state, Adam step).  The outcome is (bytes, nnz)
+    at a sync round, else None, or the exception that skipped the client
+    after rolling it back.
     """
-    backbone = nn.backbone_view(backbone_flat, dims)
+    run, n = _run, _run.upload_len
+    st = run.states[i]
+    st.rng.bit_generator.state = rng_state
+    st.adam.step = step
+    if run.buffers is None:
+        # The flat gradient (then the upload's delta), Adam's scratch and
+        # what a rollback needs of the client's store at the start of its
+        # round.  At a sync round the broadcast restores the upload's part,
+        # so when every round syncs only the rest is kept.
+        size = st.params.size
+        run.buffers = (np.empty(size, CLIENT_DTYPE),
+                       np.empty((2, nn.ADAM_BLOCK), CLIENT_DTYPE),
+                       np.empty(size - (n if run.cfg.sync_period == 1 else 0),
+                                CLIENT_DTYPE))
+    grad, scratch, saved = run.buffers
+    kept = st.params
+    if sync:
+        st.params[:n] = run.start
+        kept = st.params[n:]
+    saved[:kept.size] = kept
+    outcome = None
+    try:
+        local_train(st, run.cfg, run.dims, grad, scratch)
+        if sync:
+            delta = np.subtract(st.params[:n], run.start, out=grad[:n])
+            update, residual, n_bytes, nnz = comp.transmit(
+                delta, st.residual, run.k, run.cfg.quantization,
+                st.client_id, t)
+    except (TrainingDiverged, comp.UnencodableUpdate) as exc:
+        if sync:
+            st.params[:n] = run.start
+        kept[:] = saved[:kept.size]
+        st.adam.m[:] = 0.0
+        st.adam.v[:] = 0.0
+        st.adam.step = 0
+        outcome = exc
+    else:
+        if sync:
+            run.slots[slot] = update
+            if residual is not None:
+                st.residual[:] = residual
+            outcome = n_bytes, nnz
+    return outcome, st.rng.bit_generator.state, st.adam.step
 
-    def residual(client):
-        ds, head = client
+
+def _evaluate_task(bounds):
+    """Test passes of clients ``first`` to ``end`` - 1 (``bounds``) on the
+    shared copy of the EMA shadow, each residual scaled by the client's
+    label std in float64 and written to the client's rows of the shared
+    residuals."""
+    run, (first, end) = _run, bounds
+    lb = nn.backbone_size(run.dims)
+    backbone = nn.backbone_view(run.model[:lb], run.dims)
+    for i in range(first, end):
+        st = run.states[i]
+        ds = st.dataset
+        head = run.model[lb:] if run.model.size > lb else st.params[lb:]
         z, _ = nn.backbone_forward(backbone, ds.x_test)
-        pred, _ = nn.head_forward(head, z)
-        return np.multiply(pred - ds.y_test, ds.label_std, dtype=np.float64)
+        pred, _ = nn.head_forward(nn.head_view(head, run.dims), z)
+        np.multiply(pred - ds.y_test, ds.label_std, dtype=np.float64,
+                    out=run.residuals[run.rows[i]:run.rows[i + 1]])
 
-    return met.bundle(list(map(residual, zip(datasets, heads, strict=True))))
+
+def evaluate(run: _Run, shadow, map=map) -> met.MetricBundle:
+    """Every client's test pass on ``shadow``, with one head per client,
+    denormalized to dB.
+
+    The passes read one ``CLIENT_DTYPE`` copy of ``shadow``.  ``map`` runs
+    the tasks, a range of clients each: the worker pool's, or the builtin
+    at one worker.  The residuals reach ``metrics.bundle`` in client order.
+    """
+    run.model[:] = shadow
+    for _ in map(_evaluate_task, run.ranges):
+        pass
+    return met.bundle([run.residuals[a:b]
+                       for a, b in zip(run.rows, run.rows[1:])])
 
 
 def _init_rngs(cfg):
@@ -330,35 +448,70 @@ def _client_rng(cfg, cid):
     return np.random.default_rng([cfg.seed, 3, cid])
 
 
+def blas_threads():
+    """(variable, count) of the BLAS thread count as OpenBLAS reads it: the
+    first of its variables, in its order, that holds a positive integer;
+    None when none does."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return name, count
+    return None
+
+
 def _workers() -> int:
-    """Threads that train and evaluate a round's clients: one per CPU the
-    process may use, divided by the BLAS thread count.  That count is the
-    first of OpenBLAS's variables, in OpenBLAS's order, that holds a
-    positive integer; with none, BLAS may start a thread per core itself,
-    and a single worker keeps the two pools from fighting over the cores.
+    """Processes that train and evaluate a round's clients: one per CPU the
+    process may use, divided by the BLAS thread count (``blas_threads``).
+    With no count, BLAS may start a thread per core itself, and a single
+    worker keeps the two pools from fighting over the cores.  Where a
+    process cannot fork, one worker.
     """
+    blas = blas_threads()
+    if blas is None or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"):
-        try:
-            blas_threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if blas_threads > 0:
-            return max(1, cpus // blas_threads)
-    return 1
+    return max(1, cpus // blas[1])
+
+
+def _end_with_parent(parent):
+    """Worker initializer: end this worker once the process that forked it
+    is gone.  A parent killed before its ``finally`` shuts the pool down
+    would otherwise leave the worker waiting on the task queue for good;
+    an orphan's parent pid changes, so a slow poll sees it."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _ranges(rows, n):
+    """Up to ``n`` contiguous ranges of clients, (first, end) each, with
+    about equal numbers of test rows; ``rows`` holds the cumulative
+    counts."""
+    cuts = np.searchsorted(rows, np.linspace(0, rows[-1], n + 1)[1:-1])
+    bounds = np.unique([0, *cuts, len(rows) - 1]).tolist()
+    return list(zip(bounds, bounds[1:]))
 
 
 def run_training(partition, cfg: RunConfig) -> RunResult:
     """Run the full T-round loop; fully deterministic under cfg.seed.
 
     A round's clients train, and every client's test pass runs, on a pool
-    of ``_workers()`` threads.  What a round's clients send is summed in
-    participant order, so the worker count changes no output.
+    of ``_workers()`` processes forked at the start of the run and shut
+    down at its end, also when it raises; at one worker they run in this
+    process.  What a round's clients send is summed in participant order,
+    so the worker count changes no output.
     """
+    global _run
     dims = _model_dims(partition, cfg)
     include_head = not cfg.split_head
     rngs = _init_rngs(cfg)
@@ -374,105 +527,77 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
             nn.flatten_head(nn.init_head(dims, rngs["shared_head"]))])
 
     states = _client_states(partition, cfg, dims, global_flat)
-    datasets = [st.dataset for st in states]
     workers = _workers()
-    # Each worker's buffers, taken by one task at a time: the flat gradient
-    # (then the upload's delta), Adam's scratch and what a rollback needs
-    # of the training client's params at the start of its round.  At a sync
-    # round the broadcast restores the upload's part, so when every round
-    # syncs only the rest is kept.
-    n_saved = lb + lh - (upload_len if cfg.sync_period == 1 else 0)
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put((np.empty(lb + lh, CLIENT_DTYPE),
-                  np.empty((2, nn.ADAM_BLOCK), CLIENT_DTYPE),
-                  np.empty(n_saved, CLIENT_DTYPE)))
+    rows = np.cumsum([0] + [st.dataset.y_test.shape[0] for st in states])
+    # A round writes the slots of its participants only; the pages of the
+    # others are never touched.
+    run = _Run(cfg, dims, states, upload_len, k,
+               start=_shared(CLIENT_DTYPE, upload_len),
+               slots=_shared(np.float64, len(states), upload_len),
+               model=_shared(CLIENT_DTYPE, upload_len),
+               residuals=_shared(np.float64, int(rows[-1]), dims.n_outputs),
+               rows=rows.tolist(), ranges=_ranges(rows, 2 * workers))
 
     shadow = global_flat.copy()
     cum_bytes = 0
     nnz_total = 0
     n_payloads = 0
-    history = []
-
-    def client_round(st, t, start):
-        """Train one client; with ``start``, the broadcast model of a sync
-        round in ``CLIENT_DTYPE``, resync it first and upload after.
-        Returns (update, bytes, nnz) at a sync round, else None, or the
-        exception that skipped the client after rolling it back."""
-        grad, scratch, saved = free.get()
-        try:
-            kept = st.params
-            if start is not None:
-                st.params[:upload_len] = start
-                kept = st.params[upload_len:]
-            saved[:kept.size] = kept
-            try:
-                local_train(st, cfg, dims, grad, scratch)
-                if start is None:
-                    return None
-                delta = np.subtract(st.params[:upload_len], start,
-                                    out=grad[:upload_len])
-                update, residual, n_bytes, nnz = comp.transmit(
-                    delta, st.residual, k, cfg.quantization, st.client_id, t)
-            except (TrainingDiverged, comp.UnencodableUpdate) as exc:
-                if start is not None:
-                    st.params[:upload_len] = start
-                kept[:] = saved[:kept.size]
-                st.adam.m[:] = 0.0
-                st.adam.v[:] = 0.0
-                st.adam.step = 0
-                return exc
-            if residual is not None:
-                st.residual[:] = residual
-            return update, n_bytes, nnz
-        finally:
-            free.put((grad, scratch, saved))
-
-    def uploads(t, outcomes):
-        """The updates among a round's outcomes, in participant order;
-        counts each payload and logs each skip."""
-        nonlocal cum_bytes, nnz_total, n_payloads
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                log.warning("round %d: %s; client skipped and rolled back",
-                            t, outcome)
-            elif outcome is not None:
-                update, n_bytes, nnz = outcome
-                cum_bytes += n_bytes
-                nnz_total += nnz
-                n_payloads += 1
-                yield update
-
-    def snapshot(round_no, wall_ms):
-        model = shadow.astype(CLIENT_DTYPE)
-        if include_head:
-            heads = [nn.head_view(model[lb:], dims)] * len(states)
-        else:
-            heads = [nn.head_view(st.params[lb:], dims) for st in states]
-        b = evaluate(datasets, model[:lb], heads, dims, map=pool.map)
-        history.append(RoundEntry(round_no, b, cum_bytes, n_payloads,
-                                  nnz_total, wall_ms))
-
-    with ThreadPoolExecutor(workers) as pool:
-        snapshot(0, 0.0)
+    pool = (ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_end_with_parent, initargs=(os.getpid(),))
+        if workers > 1 else None)
+    tasks = pool.map if pool else map
+    try:
+        _run = run  # the workers fork at the first task, and inherit it
+        history = [RoundEntry(0, evaluate(run, shadow, tasks), 0, 0, 0, 0.0)]
         t0 = time.perf_counter()
         for t in range(cfg.rounds):
             participants = sample_clients(len(states), cfg.client_fraction,
-                                          rngs["sample"])
-            start = (global_flat.astype(CLIENT_DTYPE)
-                     if t % cfg.sync_period == 0 else None)
-            outcomes = pool.map(client_round,
-                                [states[cid] for cid in participants],
-                                repeat(t), repeat(start))
-            # Reads every outcome, so all of the round's tasks are done.
-            global_flat = aggregate(global_flat, uploads(t, outcomes))
+                                          rngs["sample"]).tolist()
+            sync = t % cfg.sync_period == 0
+            if sync:
+                run.start[:] = global_flat
+            # Largest clients first, so that no worker is left alone with a
+            # large one at the end of the round.  Each writes the result
+            # slot of its place among the participants, and the server reads
+            # the outcomes in participant order.
+            slots = sorted(range(len(participants)), key=lambda j: -states[
+                participants[j]].dataset.n_train)
+            first = [participants[j] for j in slots]
+            outcomes = dict(zip(slots, tasks(
+                _train_task, first, repeat(t), repeat(sync), slots,
+                [states[i].rng.bit_generator.state for i in first],
+                [states[i].adam.step for i in first])))
+            updates = []
+            for slot, i in enumerate(participants):
+                outcome, rng_state, step = outcomes[slot]
+                states[i].rng.bit_generator.state = rng_state
+                states[i].adam.step = step
+                if isinstance(outcome, Exception):
+                    log.warning("round %d: %s; client skipped and rolled "
+                                "back", t, outcome)
+                elif outcome is not None:
+                    cum_bytes += outcome[0]
+                    nnz_total += outcome[1]
+                    n_payloads += 1
+                    updates.append(run.slots[slot])
+            global_flat = aggregate(global_flat, updates)
             shadow = ema_update(shadow, global_flat, cfg.ema_beta)
-            snapshot(t + 1, (time.perf_counter() - t0) * 1000.0)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            history.append(RoundEntry(t + 1, evaluate(run, shadow, tasks),
+                                      cum_bytes, n_payloads, nnz_total,
+                                      wall_ms))
+    finally:
+        if pool is not None:
+            # Nothing is pending unless a task or the server raised.
+            pool.shutdown(cancel_futures=True)
+        _run = None
 
     # Copies: a view would keep the client's whole store alive.
     heads = [global_flat[lb:].copy()] if include_head \
         else [st.params[lb:].copy() for st in states]
-    return RunResult(cfg, history, global_flat, heads, dims, upload_len, k)
+    return RunResult(cfg, history, global_flat, heads, dims, upload_len, k,
+                     workers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import dataclasses
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -156,6 +158,34 @@ def test_train_full_run_outputs(workspace, tmp_path, capsys):
     assert "scenario=heavy" in manifest
     heads = np.load(out / "heads.npz")
     assert len(heads.files) == 4  # one personalized head per client
+
+
+def test_manifest_records_parallelism_outside_the_config_hash(
+        workspace, tmp_path, monkeypatch):
+    # Two CPUs: one BLAS thread gives two forked workers.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    manifests = {}
+    for blas in ("unset", "1"):
+        if blas != "unset":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        out = tmp_path / f"blas-{blas}"
+        assert cli.main(["train", "--partition", workspace["part"],
+                         "--config", workspace["cfg"], *TINY_TRAIN,
+                         "-o", str(out)]) == 0
+        manifests[blas] = dat.read_kv(out / "manifest.txt")
+    unset, one = manifests["unset"], manifests["1"]
+    assert (unset["workers"], unset["blas_threads"]) == ("1", "unset")
+    assert (one["workers"], one["blas_threads"]) == (
+        "2", "OPENBLAS_NUM_THREADS=1")
+    assert one["config_sha256"] == unset["config_sha256"]
+    versions = {"python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__}
+    assert {k: one[k] for k in versions} == versions
+    assert {k: unset[k] for k in versions} == versions
 
 
 def test_train_unknown_config_key_names_it(workspace, tmp_path, capsys):

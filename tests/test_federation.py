@@ -1,7 +1,10 @@
 import dataclasses
-import itertools
 import logging
+import multiprocessing
 import os
+import select
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -17,6 +20,8 @@ from remfl import federation as fed
 from remfl import nn
 
 TINY_ARCH = dict(hidden1=16, hidden2=16, latent=32, head_hidden=8)
+# Counters and events that the forked workers share with the test.
+FORK = multiprocessing.get_context("fork")
 
 
 def tiny_cfg(**kw):
@@ -26,8 +31,15 @@ def tiny_cfg(**kw):
     return fed.RunConfig(**base)
 
 
+def next_call(calls):
+    """Add one to the shared counter ``calls`` and return its new value."""
+    with calls.get_lock():
+        calls.value += 1
+        return calls.value
+
+
 def pin_workers(monkeypatch, n):
-    """Run the round loop on ``n`` worker threads."""
+    """Run the round loop on ``n`` worker processes."""
     monkeypatch.setattr(fed, "_workers", lambda: n)
 
 
@@ -235,6 +247,7 @@ def test_sparsity_one_uploads_without_residual(small_partition, monkeypatch):
         residuals.append(residual)
         return transmit(delta, residual, *args)
 
+    pin_workers(monkeypatch, 1)  # records in this process
     monkeypatch.setattr(comp, "transmit", recording)
     res = fed.run_training(small_partition, tiny_cfg(rounds=2, sparsity=1.0))
     assert res.k == res.upload_len
@@ -379,12 +392,12 @@ def test_float32_store_trains_without_promotion(small_partition, monkeypatch):
 
 def _nan_on_last_minibatch(monkeypatch, n_calls):
     """Make nn.huber_grad return NaN on its n_calls-th call only, counted
-    across the worker threads."""
+    across the worker processes."""
     real = nn.huber_grad
-    calls = itertools.count(1)  # next() on it is atomic
+    calls = FORK.Value("q", 0)
 
     def poisoned(pred, target, delta=1.0):
-        call = next(calls)
+        call = next_call(calls)
         g = real(pred, target, delta)
         return np.full_like(g, np.nan) if call == n_calls else g
 
@@ -449,28 +462,36 @@ def test_client_with_inf_label_is_skipped_every_round(small_partition,
 @pytest.mark.parametrize("failing", [(0, 1), (1,)], ids=["rounds-0-1",
                                                          "round-1"])
 def test_rollback_restores_start_params_with_fresh_optimizer(
-        small_partition, monkeypatch, failing):
+        small_partition, monkeypatch, tmp_path, failing):
     # sync_period=3: round 0 resyncs, rounds 1 and 2 do not, so client 0's
     # next call sees exactly what the rollback left behind.  Failing in
     # round 1 only, the client has Adam history that must not survive.
     cfg = tiny_cfg(rounds=3, sync_period=3)
     pin_workers(monkeypatch, 2)
     real = fed.local_train
-    entries = []  # client 0's (params, m, v, step) at each call
+    # Client 0's (params, m, v, step) at each call, one file per call: the
+    # calls run in the workers, one round after another.
+    snapshots = tmp_path / "client0"
+    snapshots.mkdir()
 
     def flaky(state, *args, **kwargs):
         if state.client_id != 0:
             return real(state, *args, **kwargs)
-        entries.append((state.params.copy(), state.adam.m.copy(),
-                        state.adam.v.copy(), state.adam.step))
+        call = len(list(snapshots.iterdir()))
+        np.savez(snapshots / f"{call}.npz", params=state.params,
+                 m=state.adam.m, v=state.adam.v, step=state.adam.step)
         real(state, *args, **kwargs)  # moves the moments and the step on
-        if len(entries) - 1 in failing:
+        if call in failing:
             state.params[:] = np.nan
             state.adam.m[:] = np.nan
             raise fed.TrainingDiverged("client 0: injected")
 
     monkeypatch.setattr(fed, "local_train", flaky)
     res = fed.run_training(small_partition, cfg)
+    entries = []
+    for call in range(len(list(snapshots.iterdir()))):
+        with np.load(snapshots / f"{call}.npz") as f:
+            entries.append((f["params"], f["m"], f["v"], int(f["step"])))
     assert len(entries) == 3
     for t in failing:
         params, m, v, step = entries[t + 1]
@@ -482,15 +503,21 @@ def test_rollback_restores_start_params_with_fresh_optimizer(
 
 
 def test_unquantizable_upload_rolls_back_and_keeps_residual(
-        small_partition, monkeypatch, caplog):
+        small_partition, monkeypatch, tmp_path, caplog):
     cfg = tiny_cfg(rounds=1, sync_period=1)
     pin_workers(monkeypatch, 2)
     real_quantize, real_train = comp.quantize, fed.local_train
-    seen = {}  # client 1: its state and params at the start of the round
+    real_states = fed._client_states
+    seen = {}  # the run's client states, as the server holds them
+    start = tmp_path / "start.npy"  # client 1's params at its round's start
+
+    def states(*args):
+        seen["states"] = real_states(*args)
+        return seen["states"]
 
     def train(state, *args, **kwargs):
         if state.client_id == 1:
-            seen.update(state=state, start=state.params.copy())
+            np.save(start, state.params)
         return real_train(state, *args, **kwargs)
 
     def quantize(update, client_id=0, round_no=0):
@@ -498,6 +525,7 @@ def test_unquantizable_upload_rolls_back_and_keeps_residual(
             raise comp.UnencodableUpdate("client 1: injected")
         return real_quantize(update, client_id, round_no)
 
+    monkeypatch.setattr(fed, "_client_states", states)
     monkeypatch.setattr(fed, "local_train", train)
     monkeypatch.setattr(comp, "quantize", quantize)
     with caplog.at_level(logging.WARNING, logger="remfl.federation"):
@@ -505,8 +533,8 @@ def test_unquantizable_upload_rolls_back_and_keeps_residual(
     skipped = [r for r in caplog.records if "client skipped" in r.getMessage()]
     assert [r.args[0] for r in skipped] == [0]
     assert res.final.n_payloads == len(small_partition.clients) - 1
-    st = seen["state"]
-    assert np.array_equal(st.params, seen["start"])
+    st = seen["states"][1]
+    assert np.array_equal(st.params, np.load(start))
     assert not st.residual.any()  # error feedback as before the round
     assert not st.adam.m.any() and st.adam.step == 0
 
@@ -526,10 +554,10 @@ def _run_counting_adam_steps(partition, cfg, poison_at=None, index=0):
     ``poison_at``, the gradient of that call (1-based, counted across the
     workers) gets a NaN at ``index``."""
     real = nn.adam_step
-    calls = itertools.count(1)  # next() on it is atomic
+    calls = FORK.Value("q", 0)
 
     def counted(state, params, grads, *args, **kwargs):
-        if next(calls) == poison_at:
+        if next_call(calls) == poison_at:
             grads[index % grads.size] = np.nan
         return real(state, params, grads, *args, **kwargs)
 
@@ -543,7 +571,7 @@ def _run_counting_adam_steps(partition, cfg, poison_at=None, index=0):
             res = fed.run_training(partition, cfg)
     finally:
         logger.removeHandler(skips)
-    return res, next(calls) - 1, skips.rounds
+    return res, calls.value, skips.rounds
 
 
 @settings(max_examples=10)
@@ -563,7 +591,7 @@ def test_one_injected_nan_costs_exactly_one_payload(small_partition, data):
 
 
 # ---------------------------------------------------------------------------
-# clients on worker threads
+# clients on worker processes
 # ---------------------------------------------------------------------------
 
 def _outputs(res):
@@ -576,14 +604,20 @@ def _outputs(res):
             history)
 
 
+# Every upload form: QUP1 (pfl), Top-K float32, dense float32 and the
+# shared-head dense float32 of fedavg.
 @pytest.mark.parametrize("kw", [
     dict(), dict(mode="fedavg"), dict(client_fraction=0.5),
-    dict(sync_period=1)], ids=["pfl", "fedavg", "half-sampled", "sync-1"])
+    dict(sync_period=1), dict(quantization=False),
+    dict(sparsity=1.0, quantization=False)],
+    ids=["pfl", "fedavg", "half-sampled", "sync-1", "topk-float32",
+         "dense-float32"])
 def test_worker_count_changes_no_output(small_partition, monkeypatch, kw):
     cfg = tiny_cfg(rounds=4, **kw)
     runs = []
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, to expose races
+    # Switch threads often: the pool's own threads run beside the loop.
+    sys.setswitchinterval(1e-5)
     try:
         for n in (1, 2, 3, 6):
             pin_workers(monkeypatch, n)
@@ -599,7 +633,7 @@ def test_skips_are_logged_in_participant_order(small_partition, monkeypatch,
     cfg = tiny_cfg(rounds=1, sync_period=1)
     pin_workers(monkeypatch, 2)
     real = fed.local_train
-    three_failed = threading.Event()
+    three_failed = FORK.Event()
 
     def train(state, *args, **kwargs):
         if state.client_id == 1:
@@ -631,11 +665,72 @@ def test_unexpected_error_propagates_and_stops_the_workers(small_partition,
             raise KeyError("injected")
         return real(state, *args, **kwargs)
 
-    monkeypatch.setattr(fed, "local_train", train)
     before = threading.active_count()
+    assert multiprocessing.active_children() == []
+    fed.run_training(small_partition, tiny_cfg())
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
+    monkeypatch.setattr(fed, "local_train", train)
     with pytest.raises(KeyError, match="injected"):
         fed.run_training(small_partition, tiny_cfg())
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == before
+
+
+# An endless 2-worker run that prints the pid of each process that trains.
+_ENDLESS_RUN = """
+import os
+from remfl import data as dat, federation as fed
+fed._workers = lambda: 2
+grid = dat.generate_synthetic_map(dat.SyntheticMapConfig(
+    seed=7, width=32, height=32, n_bs=4, n_features=8))
+part = dat.grid_partition(grid, dat.heterogeneity(grid), "heavy", rows=2,
+                          cols=2, seed=1)
+real = fed.local_train
+
+def train(state, *args, **kwargs):
+    print(os.getpid(), flush=True)
+    return real(state, *args, **kwargs)
+
+fed.local_train = train
+fed.run_training(part, fed.RunConfig(rounds=10**9, local_epochs=1,
+                                     hidden1=16, hidden2=16, latent=32,
+                                     head_hidden=8))
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process, not gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_end_when_the_parent_is_killed():
+    src = os.path.dirname(os.path.dirname(fed.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", _ENDLESS_RUN], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    workers = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            if select.select([proc.stdout], [], [], 1.0)[0]:
+                workers.add(int(proc.stdout.readline()))
+        assert len(workers) == 2 and proc.pid not in workers
+    finally:
+        proc.send_signal(signal.SIGKILL)  # no finally of the run's runs
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    deadline = time.monotonic() + 30
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.2)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -664,6 +759,16 @@ def test_workers_are_cpus_over_blas_threads(monkeypatch, env, want):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert fed._workers() == want
+
+
+def test_one_worker_where_processes_cannot_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert fed._workers() == 4
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+    assert fed._workers() == 1
 
 
 def test_workers_without_affinity_use_cpu_count(monkeypatch):
