@@ -449,8 +449,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # Path errors, not every OSError: mmap raises one when memory runs out.
     except (dat.IngestionError, dat.ConfigError, dat.DegenerateClientError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, FileExistsError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -514,7 +514,6 @@ def export_partition(partition: ScenarioPartition, outdir):
         ("q33", repr(float(partition.q33))),
         ("q66", repr(float(partition.q66))),
         ("bs", partition.n_bs), ("features", partition.n_features),
-        ("clients", len(partition.clients)),
     ])
     for c in partition.clients:
         cdir = os.path.join(outdir, f"client_{c.client_id:03d}")
@@ -525,8 +524,6 @@ def export_partition(partition: ScenarioPartition, outdir):
                            c.x_test, c.y_test)
         lo, hi = c.coord_min.tolist(), c.coord_max.tolist()
         write_kv(os.path.join(cdir, "stats.txt"), [
-            ("client_id", c.client_id),
-            ("tile_row", c.tile[0]), ("tile_col", c.tile[1]),
             ("coord_min_row", repr(lo[0])), ("coord_min_col", repr(lo[1])),
             ("coord_max_row", repr(hi[0])), ("coord_max_col", repr(hi[1])),
             ("label_mean", repr(float(c.label_mean))),
@@ -561,49 +558,52 @@ def _finite_positive(text) -> float:
     return value
 
 
-def _positive_int(text) -> int:
-    """An int >= 1, else a ValueError (for ``_field``)."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _int_at_least(low):
+    """A cast for ``_field``: an int >= ``low``, else a ValueError."""
+    def cast(text) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+    return cast
 
 
 def load_partition(indir) -> ScenarioPartition:
-    """The partition ``export_partition`` wrote to ``indir``.  Only what
-    that writer can produce loads: ``clients`` = ``rows`` x ``cols`` >= 1,
-    and at least one training and one test sample per client.  Anything
-    else is an IngestionError naming the file, and the key where there is
-    one."""
+    """The partition ``export_partition`` wrote to ``indir``.  Its clients
+    are ``client_000`` to ``rows`` x ``cols`` - 1, client k on tile
+    ``divmod(k, cols)``; the ``clients``, ``client_id`` and ``tile_*`` keys
+    of directories written by older versions are ignored.  Only what that
+    writer can produce loads: ``rows``, ``cols`` and ``bs`` >= 1,
+    ``features`` >= 0, and the three files of every client, with at least
+    one training and one test sample each.  Anything else is an
+    IngestionError naming the file, and the key where there is one."""
     meta_path = os.path.join(indir, "partition.txt")
-    if not os.path.exists(meta_path):
+    if not os.path.isfile(meta_path):
         raise IngestionError(f"no partition.txt under {indir}")
     meta = read_kv(meta_path)
-    n_bs = _field(meta, "bs", int, meta_path)
-    n_features = _field(meta, "features", int, meta_path)
-    rows = _field(meta, "rows", _positive_int, meta_path)
-    cols = _field(meta, "cols", _positive_int, meta_path)
-    n_clients = _field(meta, "clients", int, meta_path)
-    if n_clients != rows * cols:
-        raise IngestionError(
-            f"{meta_path}: key 'clients' is {n_clients}, but rows x cols "
-            f"is {rows * cols}")
+    n_bs = _field(meta, "bs", _int_at_least(1), meta_path)
+    n_features = _field(meta, "features", _int_at_least(0), meta_path)
+    rows = _field(meta, "rows", _int_at_least(1), meta_path)
+    cols = _field(meta, "cols", _int_at_least(1), meta_path)
     clients = []
-    for k in range(n_clients):
-        cdir = os.path.join(indir, f"client_{k:03d}")
-        stats_path = os.path.join(cdir, "stats.txt")
+    for k in range(rows * cols):
+        stats_path, train_path, test_path = paths = [
+            os.path.join(indir, f"client_{k:03d}", name)
+            for name in ("stats.txt", "train.csv", "test.csv")]
+        for path in paths:
+            if not os.path.isfile(path):
+                raise IngestionError(f"{path}: no such file (rows x cols "
+                                     f"= {rows * cols} clients)")
         stats = read_kv(stats_path)
 
         def num(key):
             return _field(stats, key, float, stats_path)
 
         (rc_tr, x_tr, y_tr), (rc_te, x_te, y_te) = [
-            _read_samples(os.path.join(cdir, f"{split}.csv"), n_features,
-                          n_bs) for split in ("train", "test")]
+            _read_samples(path, n_features, n_bs)
+            for path in (train_path, test_path)]
         clients.append(ClientDataset(
-            client_id=k,
-            tile=(_field(stats, "tile_row", int, stats_path),
-                  _field(stats, "tile_col", int, stats_path)),
+            client_id=k, tile=divmod(k, cols),
             x_train=x_tr, y_train=y_tr, x_test=x_te, y_test=y_te,
             rc_train=rc_tr, rc_test=rc_te,
             coord_min=np.array([num("coord_min_row"), num("coord_min_col")]),

@@ -34,11 +34,11 @@ place and nothing large is pickled: a task carries a client's index, RNG
 state and Adam step, and returns the new state and step with its outcome;
 the parent's copy of those two is authoritative.  The broadcast of a sync
 round, each upload's decoded update (one float64 result slot per
-participant), the float32 copy of the EMA shadow that evaluation reads and
-the de-normalized test residuals are shared the same way.  The server takes
-the uploads, and logs the skips, in participant order, so the worker count
-changes no output.  At one worker the same tasks run in the calling process
-and nothing is forked.
+participant) and the float32 copy of the EMA shadow that evaluation reads
+are shared the same way; an evaluation task returns its clients'
+de-normalized test residuals.  The server takes the uploads, and logs the
+skips, in participant order, so the worker count changes no output.  At one
+worker the same tasks run in the calling process and nothing is forked.
 """
 
 from __future__ import annotations
@@ -336,12 +336,10 @@ class _Run:
     states: list
     upload_len: int
     k: int
-    start: np.ndarray      # a sync round's broadcast, in CLIENT_DTYPE
-    slots: np.ndarray      # float64 decoded updates, row j for participant j
-    model: np.ndarray      # the EMA shadow in CLIENT_DTYPE, for evaluation
-    residuals: np.ndarray  # float64 test residuals of every client, in order
-    rows: list             # client i's residuals are rows[i]:rows[i + 1]
-    ranges: list           # (first, end) clients of each evaluation task
+    start: np.ndarray  # a sync round's broadcast, in CLIENT_DTYPE
+    slots: np.ndarray  # float64 decoded updates, row j for participant j
+    model: np.ndarray  # the EMA shadow in CLIENT_DTYPE, for evaluation
+    ranges: list       # (first, end) clients of each evaluation task
     buffers: tuple | None = None  # this process's own; see _train_task
 
 
@@ -365,13 +363,12 @@ def _train_task(i, t, sync, slot, rng_state, step):
     if run.buffers is None:
         # The flat gradient (then the upload's delta), Adam's scratch and
         # what a rollback needs of the client's store at the start of its
-        # round.  At a sync round the broadcast restores the upload's part,
-        # so when every round syncs only the rest is kept.
+        # round: all of it, or at a sync round the part the broadcast does
+        # not restore.
         size = st.params.size
         run.buffers = (np.empty(size, CLIENT_DTYPE),
                        np.empty((2, nn.ADAM_BLOCK), CLIENT_DTYPE),
-                       np.empty(size - (n if run.cfg.sync_period == 1 else 0),
-                                CLIENT_DTYPE))
+                       np.empty(size, CLIENT_DTYPE))
     grad, scratch, saved = run.buffers
     kept = st.params
     if sync:
@@ -405,20 +402,20 @@ def _train_task(i, t, sync, slot, rng_state, step):
 
 def _evaluate_task(bounds):
     """Test passes of clients ``first`` to ``end`` - 1 (``bounds``) on the
-    shared copy of the EMA shadow, each residual scaled by the client's
-    label std in float64 and written to the client's rows of the shared
-    residuals."""
+    shared copy of the EMA shadow.  Returns their residuals in client order,
+    each scaled by the client's label std in float64."""
     run, (first, end) = _run, bounds
     lb = nn.backbone_size(run.dims)
     backbone = nn.backbone_view(run.model[:lb], run.dims)
-    for i in range(first, end):
-        st = run.states[i]
+    residuals = []
+    for st in run.states[first:end]:
         ds = st.dataset
         head = run.model[lb:] if run.model.size > lb else st.params[lb:]
         z, _ = nn.backbone_forward(backbone, ds.x_test)
         pred, _ = nn.head_forward(nn.head_view(head, run.dims), z)
-        np.multiply(pred - ds.y_test, ds.label_std, dtype=np.float64,
-                    out=run.residuals[run.rows[i]:run.rows[i + 1]])
+        residuals.append(np.multiply(pred - ds.y_test, ds.label_std,
+                                     dtype=np.float64))
+    return residuals
 
 
 def evaluate(run: _Run, shadow, map=map) -> met.MetricBundle:
@@ -430,10 +427,8 @@ def evaluate(run: _Run, shadow, map=map) -> met.MetricBundle:
     at one worker.  The residuals reach ``metrics.bundle`` in client order.
     """
     run.model[:] = shadow
-    for _ in map(_evaluate_task, run.ranges):
-        pass
-    return met.bundle([run.residuals[a:b]
-                       for a, b in zip(run.rows, run.rows[1:])])
+    return met.bundle([r for task in map(_evaluate_task, run.ranges)
+                       for r in task])
 
 
 def _init_rngs(cfg):
@@ -535,8 +530,7 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
                start=_shared(CLIENT_DTYPE, upload_len),
                slots=_shared(np.float64, len(states), upload_len),
                model=_shared(CLIENT_DTYPE, upload_len),
-               residuals=_shared(np.float64, int(rows[-1]), dims.n_outputs),
-               rows=rows.tolist(), ranges=_ranges(rows, 2 * workers))
+               ranges=_ranges(rows, 2 * workers))
 
     shadow = global_flat.copy()
     cum_bytes = 0

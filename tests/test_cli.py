@@ -209,6 +209,22 @@ def test_train_missing_partition_dir(tmp_path):
     assert rc == 2
 
 
+# A path that names a directory where a file is read, or a file where a
+# directory is made, is a data error, as a missing file is.
+@pytest.mark.parametrize("argv", [
+    lambda ws, d: ["partition", str(d), "--scenario", "heavy",
+                   "-o", str(d / "p")],
+    lambda ws, d: ["train", "--config", str(d), "--partition", ws["part"],
+                   "-o", str(d / "r")],
+    lambda ws, d: ["train", "--partition", ws["part"], "--config", ws["cfg"],
+                   *TINY_TRAIN, "-o", ws["map"]],
+], ids=["partition-map-is-dir", "train-config-is-dir", "train-out-is-file"])
+def test_path_of_the_wrong_kind_is_data_error(workspace, tmp_path, capsys,
+                                              argv):
+    assert cli.main(argv(workspace, tmp_path)) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_train_ablation_flags(capsys):
     got = _printed_config(capsys, "--ablate", "no-topk", "--ablate", "no-ema")
     assert got["sparsity"] == "1.0" and got["ema_beta"] == "0.0"
@@ -522,6 +538,34 @@ def test_report_no_runs_is_data_error(tmp_path):
     assert cli.main(["report", str(tmp_path / "none")]) == 2
 
 
+# A real round log with one field or one line replaced by arbitrary text:
+# report prints it, or exits 2, never 3.
+@pytest.fixture(scope="module")
+def roundlog(workspace, tmp_path_factory):
+    run = tmp_path_factory.mktemp("fuzzlog")
+    assert cli.main(["train", "--partition", workspace["part"],
+                     "--config", workspace["cfg"], *TINY_TRAIN,
+                     "-o", str(run)]) == 0
+    return run, (run / "roundlog.csv").read_text().splitlines()
+
+
+@given(data=st.data(), text=st.text(max_size=12), whole_line=st.booleans())
+def test_report_on_a_mutated_round_log_exits_0_or_2(roundlog, data, text,
+                                                    whole_line):
+    run, lines = roundlog
+    lines = list(lines)
+    line = data.draw(st.integers(0, len(lines) - 1))
+    if whole_line:
+        lines[line] = text
+    else:
+        fields = lines[line].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = text
+        lines[line] = ",".join(fields)
+    (run / "roundlog.csv").write_text("\n".join(lines) + "\n",
+                                      encoding="utf-8")
+    assert cli.main(["report", str(run)]) in (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # limits checked before training
 # ---------------------------------------------------------------------------
@@ -587,25 +631,25 @@ def _edit_kv(path, key, value=None):
 
 def test_train_missing_stats_key_is_data_error(workspace, tmp_path, capsys):
     part = _copy_partition(workspace, tmp_path)
-    _edit_kv(part / "client_001" / "stats.txt", "tile_row")
+    _edit_kv(part / "client_001" / "stats.txt", "label_std")
     rc = cli.main(["train", "--partition", str(part),
                    "--config", workspace["cfg"], *TINY_TRAIN,
                    "-o", str(tmp_path / "r")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "stats.txt" in err and "tile_row" in err
+    assert "data error" in err and "stats.txt" in err and "label_std" in err
 
 
 def test_train_malformed_partition_value_is_data_error(workspace, tmp_path,
                                                        capsys):
     part = _copy_partition(workspace, tmp_path)
-    _edit_kv(part / "partition.txt", "clients", "twelve")
+    _edit_kv(part / "partition.txt", "rows", "twelve")
     rc = cli.main(["train", "--partition", str(part),
                    "--config", workspace["cfg"], *TINY_TRAIN,
                    "-o", str(tmp_path / "r")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "partition.txt" in err and "clients" in err and "twelve" in err
+    assert "partition.txt" in err and "rows" in err and "twelve" in err
 
 
 def _edit_sample_row(path, line, edit):

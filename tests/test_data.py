@@ -1,9 +1,10 @@
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from remfl import data as dat
@@ -222,6 +223,7 @@ def test_partition_export_import_roundtrip(small_partition, tmp_path):
     assert back.scenario == small_partition.scenario
     assert len(back.clients) == len(small_partition.clients)
     for a, b in zip(small_partition.clients, back.clients):
+        assert (a.client_id, a.tile) == (b.client_id, b.tile)
         assert np.array_equal(a.x_train, b.x_train)
         assert np.array_equal(a.y_train, b.y_train)
         assert np.array_equal(a.x_test, b.x_test)
@@ -232,6 +234,48 @@ def test_partition_export_import_roundtrip(small_partition, tmp_path):
 def test_load_partition_missing_dir(tmp_path):
     with pytest.raises(dat.IngestionError):
         dat.load_partition(tmp_path / "nope")
+
+
+def test_load_partition_ignores_the_keys_older_versions_wrote(
+        small_partition, tmp_path):
+    # Older writers also stored the client count, ids and tiles, which
+    # rows x cols gives.
+    dat.export_partition(small_partition, tmp_path / "new")
+    new = dat.load_partition(tmp_path / "new")
+    with open(tmp_path / "new" / "partition.txt", "a") as f:
+        f.write("clients=4\n")
+    for k, c in enumerate(small_partition.clients):
+        with open(tmp_path / "new" / f"client_{k:03d}" / "stats.txt",
+                  "a") as f:
+            f.write(f"client_id={k}\ntile_row={c.tile[0]}\n"
+                    f"tile_col={c.tile[1]}\n")
+    old = dat.load_partition(tmp_path / "new")
+    for a, b in zip(new.clients, old.clients):
+        assert (a.client_id, a.tile) == (b.client_id, b.tile)
+        for key in ("x_train", "y_train", "x_test", "y_test", "rc_train",
+                    "rc_test", "coord_min", "coord_max", "label_mean",
+                    "label_std"):
+            assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
+
+
+@pytest.mark.parametrize("edit, missing", [
+    (lambda p: os.remove(p / "client_003" / "test.csv"),
+     "client_003/test.csv"),
+    (lambda p: shutil.rmtree(p / "client_003"), "client_003/stats.txt"),
+    (lambda p: os.remove(p / "client_001" / "train.csv")
+     or os.mkdir(p / "client_001" / "train.csv"), "client_001/train.csv"),
+    (lambda p: (p / "partition.txt").write_text(
+        (p / "partition.txt").read_text().replace("rows=2", "rows=3")),
+     "client_004/stats.txt"),
+], ids=["test-csv", "client-dir", "directory-for-file", "rows-3"])
+def test_load_partition_missing_client_file_names_it(small_partition,
+                                                     tmp_path, edit, missing):
+    dat.export_partition(small_partition, tmp_path / "p")
+    edit(tmp_path / "p")
+    with pytest.raises(dat.IngestionError,
+                       match=f"{missing}: no such file") as info:
+        dat.load_partition(tmp_path / "p")
+    assert "rows x cols" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +332,14 @@ def test_zero_variance_client_rejected():
     ("client_001/stats.txt", "label_std", "0.0"),
     ("client_001/stats.txt", "label_std", "-0.0"),
     ("client_000/stats.txt", "label_mean", "inf"),
-    # The writer makes rows x cols >= 1 clients; this partition is 2 x 2.
-    ("partition.txt", "clients", "0"),
-    ("partition.txt", "clients", "-1"),
-    ("partition.txt", "clients", "2"),
+    # The writer makes rows x cols >= 1 clients.
     ("partition.txt", "rows", "0"),
+    # The writer makes bs >= 2 and features >= 0.  bs=0 loaded with no
+    # label column, and bs=-12 made the 4 + features + bs values of a
+    # sample row 0; both failed later, not as data errors.
+    ("partition.txt", "bs", "0"),
+    ("partition.txt", "bs", "-12"),
+    ("partition.txt", "features", "-1"),
 ])
 def test_load_partition_bad_metadata_names_file_and_key(
         small_partition, tmp_path, file, key, value):
@@ -317,6 +364,39 @@ def test_kv_files_round_trip_stripped(tmp_path):
         f.write("# note\n\n  c = \u00e9t\u00e9 \nd\n")
     assert dat.read_kv(path) == {"a": "2.5", "b": "x y", "c": "\u00e9t\u00e9",
                                  "d": ""}
+
+
+# The 2 x 2 partition with one value of partition.txt, or of one client's
+# stats.txt, replaced by arbitrary text or a small integer (a larger rows or
+# cols names clients that do not exist): it loads, or it is an
+# IngestionError, never another exception.
+@pytest.fixture(scope="module")
+def partition_dir(tmp_path_factory, small_partition):
+    root = tmp_path_factory.mktemp("part")
+    dat.export_partition(small_partition, root)
+    return root
+
+
+@given(name=st.sampled_from(["partition.txt", "client_000/stats.txt",
+                             "client_003/stats.txt"]),
+       line=st.integers(0, 8),
+       value=st.one_of(st.integers(-20, 20).map(str), st.text(max_size=12)))
+@example(name="partition.txt", line=1, value="3")  # rows=3: no client_004
+def test_mutated_partition_metadata_raises_only_ingestion_error(
+        partition_dir, name, line, value):
+    path = partition_dir / name
+    original = path.read_text(encoding="utf-8")
+    lines = original.splitlines()
+    line %= len(lines)
+    lines[line] = lines[line].partition("=")[0] + "=" + value
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        part = dat.load_partition(partition_dir)
+    except dat.IngestionError:
+        return
+    finally:
+        path.write_text(original, encoding="utf-8")
+    assert len(part.clients) == part.rows * part.cols
 
 
 # A sample CSV with one field or one row replaced by arbitrary text: it

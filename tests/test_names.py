@@ -1,8 +1,8 @@
 """Every name the benchmark's tracer wraps, every remfl function and config
 field the benchmark's code uses, and every name the package exports,
 resolves: a rename or deletion fails here in well under a second, not only
-in the minutes-long benchmark self-test.  The README's config keys and
-``--ablate`` table match the code's."""
+in the minutes-long benchmark self-test.  The README's config keys,
+``--ablate`` table and partition metadata keys match the code's."""
 
 import ast
 import importlib
@@ -83,3 +83,13 @@ def test_readme_lists_the_config_keys_and_ablations():
                             re.M))
     assert table == {name: f"{key}={str(value).lower()}"
                      for name, (key, value) in cli.ABLATIONS.items()}
+
+
+def test_readme_lists_the_partition_keys(small_partition, tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    formats = readme.split("## File formats")[1].split("\n## ")[0]
+    dat.export_partition(small_partition, tmp_path)
+    for name, path in (("partition.txt", tmp_path / "partition.txt"),
+                       ("stats.txt", tmp_path / "client_000" / "stats.txt")):
+        keys = re.search(rf"`{name}` holds\s(.*?):", formats, re.S)
+        assert re.findall(r"`(\w+)`", keys.group(1)) == list(dat.read_kv(path))
