@@ -231,6 +231,28 @@ def _check_client_ids(partition, cfgs):
             f"smaller client grid, --mode fedavg or --ablate no-quantization")
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(partition, cfgs):
+    """Refuse, before anything is allocated, runs whose shared client state
+    (``federation.shared_bytes``) exceeds physical memory."""
+    limit = _physical_memory()
+    need = max(fed.shared_bytes(partition, cfg) for cfg in cfgs)
+    if limit is not None and need > limit:
+        raise UsageError(
+            f"{len(partition.clients)} clients need {need:,} bytes of shared "
+            f"client state, more than the {limit:,} bytes of physical memory; "
+            f"it grows with the client grid (partition --clients), the model "
+            f"(hidden1, hidden2, latent and head_hidden in --config) and the "
+            f"residuals of --rho below 1 or dense uploads of --mode fedavg")
+
+
 def _run_and_export(partition, cfg, outdir, scenario):
     os.makedirs(outdir, exist_ok=True)
     result = fed.run_training(partition, cfg)
@@ -255,6 +277,7 @@ def cmd_train(args) -> int:
         raise UsageError("train requires --partition and -o")
     partition = dat.load_partition(args.partition)
     _check_client_ids(partition, [cfg])
+    _check_memory(partition, [cfg])
     result = _run_and_export(partition, cfg, args.out, partition.scenario)
     final = result.final.bundle
     print(f"mode={cfg.mode} scenario={partition.scenario} "
@@ -300,6 +323,7 @@ def cmd_sweep(args) -> int:
              for rho in rhos for period in periods for quant in quants]
     partition = dat.load_partition(args.partition)
     _check_client_ids(partition, [cfg for _, cfg in cells])
+    _check_memory(partition, [cfg for _, cfg in cells])
     os.makedirs(args.out, exist_ok=True)
     points = []
     for label, cfg in cells:

@@ -197,11 +197,14 @@ def transmit(delta: np.ndarray, residual: np.ndarray | None, k: int,
     """One client's upload: with a ``residual``, error feedback and Top-K
     (else ``delta`` goes whole), then a QUP1 payload or float32 values.
 
-    Returns (update as the server decodes it, new residual or None, bytes on
-    the wire, nnz of an indexed form, else 0).  A float32 form rounds the
-    update; under Top-K the residual keeps the (exact) rounding error.  An
-    update the wire cannot carry raises UnencodableUpdate; ``residual`` is
-    never written.
+    Returns (wire form, new residual or None, bytes on the wire, nnz of an
+    indexed form, else 0).  The wire form is what the wire carries: the QUP1
+    payload as bytes; under Top-K without quantization, the u32 indices of
+    the nonzero float32 values, strictly increasing, and those values; or
+    else the whole vector in float32 (``delta`` itself when it is float32
+    already).  A float32 form rounds the update; under Top-K the residual
+    keeps the (exact) rounding error.  An update the wire cannot carry
+    raises UnencodableUpdate; ``residual`` is never written.
     """
     update = delta
     if residual is not None:
@@ -209,17 +212,18 @@ def transmit(delta: np.ndarray, residual: np.ndarray | None, k: int,
         update = top_k(u, k)
     if not quantized:
         with np.errstate(over="ignore"):
-            update = update.astype(np.float32).astype(np.float64)
+            update = update.astype(np.float32, copy=False)
         if not np.all(np.isfinite(update)):  # a NaN, or beyond float32
             raise UnencodableUpdate(
                 f"client {client_id}: update not representable as float32")
     if residual is not None:
         residual = residual_update(u, update)
     if quantized:
-        payload = encode(quantize(update, client_id, round_no))
-        q = decode(payload)
-        return dequantize(q), residual, len(payload), q.nnz
+        q = quantize(update, client_id, round_no)
+        payload = encode(q)
+        return payload, residual, len(payload), q.nnz
     if residual is None:
         return update, None, dense_bytes(update.size), 0
-    nnz = int(np.count_nonzero(update))
-    return update, residual, sparse_float_bytes(nnz), nnz
+    index = np.flatnonzero(update).astype(np.uint32)
+    return ((index, update[index]), residual, sparse_float_bytes(index.size),
+            int(index.size))

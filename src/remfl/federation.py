@@ -32,13 +32,17 @@ A round's clients train, and every client's test pass runs, on
 of matrices on anonymous shared mappings, so a worker updates a client in
 place and nothing large is pickled: a task carries a client's index, RNG
 state and Adam step, and returns the new state and step with its outcome;
-the parent's copy of those two is authoritative.  The broadcast of a sync
-round, each upload's decoded update (one float64 result slot per
-participant) and the float32 copy of the EMA shadow that evaluation reads
-are shared the same way; an evaluation task returns its clients'
-de-normalized test residuals.  The server takes the uploads, and logs the
-skips, in participant order, so the worker count changes no output.  At one
-worker the same tasks run in the calling process and nothing is forked.
+the parent's copy of those two is authoritative.  An upload leaves its
+worker in the form the wire carries: a QUP1 payload or a Top-K pair of
+indices and float32 values returns with the outcome, and the server decodes
+and sums it at its indices, without a dense copy.  Only a dense float32
+upload is written to a shared result slot, one float32 row per participant,
+which exists only when the uploads are dense.  The broadcast of a sync round
+and the float32 copy of the EMA shadow that evaluation reads are shared
+too; an evaluation task returns its clients' de-normalized test residuals.
+The server takes the uploads, and logs the skips, in participant order, so
+the worker count changes no output.  At one worker the same tasks run in
+the calling process and nothing is forked.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -205,27 +210,51 @@ def sample_clients(n_clients, fraction, rng) -> np.ndarray:
 
 
 def aggregate(flat_global, updates) -> np.ndarray:
-    """theta + mean of decoded updates; identity on an empty set.
+    """theta + mean of the uploads; identity on an empty set.
 
-    ``updates`` is read once, in order, so a generator lets the server hold
-    one update at a time.  The first update is copied, each other one added
-    to it and the sum divided once: the bits of np.mean over a stack of
-    float64 updates, without the stack.
+    Each upload is in a wire form of ``compression.transmit``: a QUP1
+    payload, decoded here; an (indices, values) pair, indices distinct; or
+    a dense vector.  ``updates`` is read once, in order, so a generator
+    lets the server hold one upload at a time.  The uploads are added, in
+    order, to float64 zeros, an indexed one at its indices only, and the
+    sum is divided once.  That is how np.mean reduces a stack of their
+    dense float64 forms, so the bits are its bits, signed zeros included,
+    without the stack or a dense copy of any upload.
     """
-    mean, n = None, 0
-    for u in updates:
-        if u.shape != flat_global.shape:
-            raise AggregationError(
-                f"update length {u.size} != model length {flat_global.size}")
-        if mean is None:
-            mean = u.astype(np.float64)
+    total, n = np.zeros(flat_global.size), 0
+    for update in updates:
+        index, values = _entries(update, flat_global.size)
+        if index is None:
+            total += values
         else:
-            mean += u
+            total[index] += values
         n += 1
-    if mean is None:
+    if n == 0:
         return flat_global.copy()
-    mean /= n
-    return flat_global + mean
+    total /= n
+    return flat_global + total
+
+
+def _entries(update, length):
+    """(indices, float values) of an indexed upload, or (None, vector) of a
+    dense one; AggregationError unless it fits a model of ``length``."""
+    if isinstance(update, bytes):
+        q = comp.decode(update)
+        if q.length != length:
+            raise AggregationError(
+                f"payload length {q.length} != model length {length}")
+        return q.indices, q.qvalues.astype(np.float64) * q.scale
+    if isinstance(update, tuple):
+        index, values = update
+        if index.size and int(index.max()) >= length:
+            raise AggregationError(
+                f"update index {int(index.max())} beyond model length "
+                f"{length}")
+        return index, values
+    if update.shape != (length,):
+        raise AggregationError(
+            f"update length {update.size} != model length {length}")
+    return None, update
 
 
 def ema_update(shadow, theta, beta) -> np.ndarray:
@@ -237,6 +266,31 @@ def _model_dims(partition, cfg: RunConfig) -> nn.ModelDims:
         in_dim=2 + partition.n_features, n_outputs=partition.n_bs,
         hidden1=cfg.hidden1, hidden2=cfg.hidden2, latent=cfg.latent,
         head=cfg.head, head_hidden=cfg.head_hidden, dropout=cfg.dropout)
+
+
+def _upload_len(cfg: RunConfig, dims) -> int:
+    """An upload's length: the backbone, and the head when it is shared."""
+    return nn.backbone_size(dims) + (
+        0 if cfg.split_head else nn.head_size(dims))
+
+
+def _dense_uploads(cfg: RunConfig) -> bool:
+    """Whether uploads go whole in float32: no Top-K, no quantization."""
+    return cfg.sparsity == 1.0 and not cfg.quantization
+
+
+def shared_bytes(partition, cfg: RunConfig) -> int:
+    """Bytes of the shared mappings a run of ``cfg`` on ``partition`` makes
+    before it trains: the client stores and both Adam moments, the
+    residuals at ``sparsity`` < 1, the result slots of dense uploads, and
+    the broadcast and the evaluation copy of the EMA shadow."""
+    dims = _model_dims(partition, cfg)
+    clients = len(partition.clients)
+    upload = _upload_len(cfg, dims)
+    rows = (cfg.sparsity < 1.0) + _dense_uploads(cfg)
+    return np.dtype(CLIENT_DTYPE).itemsize * (
+        3 * clients * (nn.backbone_size(dims) + nn.head_size(dims))
+        + (rows * clients + 2) * upload)
 
 
 def _client_data(ds: dat.ClientDataset) -> dat.ClientDataset:
@@ -337,7 +391,10 @@ class _Run:
     upload_len: int
     k: int
     start: np.ndarray  # a sync round's broadcast, in CLIENT_DTYPE
-    slots: np.ndarray  # float64 decoded updates, row j for participant j
+    # Dense float32 uploads, row j for participant j; None unless the
+    # uploads are dense (no Top-K, no quantization), since the indexed
+    # forms return with their task's outcome.
+    slots: np.ndarray | None
     model: np.ndarray  # the EMA shadow in CLIENT_DTYPE, for evaluation
     ranges: list       # (first, end) clients of each evaluation task
     buffers: tuple | None = None  # this process's own; see _train_task
@@ -349,12 +406,14 @@ _run: _Run | None = None  # the run in progress, as each process sees it
 def _train_task(i, t, sync, slot, rng_state, step):
     """Train client ``i`` in round ``t``, starting from the RNG state and
     Adam step the parent holds; at a ``sync`` round, resync it to the
-    broadcast first and upload after, with the decoded update written to
-    result slot ``slot``.
+    broadcast first and upload after.
 
-    Returns (outcome, RNG state, Adam step).  The outcome is (bytes, nnz)
-    at a sync round, else None, or the exception that skipped the client
-    after rolling it back.
+    Returns (outcome, RNG state, Adam step).  The outcome is (wire form,
+    bytes, nnz) at a sync round, else None, or the exception that skipped
+    the client after rolling it back.  The wire form is a QUP1 payload or
+    Top-K (indices, values) pair as ``compression.transmit`` returns it; a
+    dense upload is written to result slot ``slot`` instead, and its wire
+    form is None.
     """
     run, n = _run, _run.upload_len
     st = run.states[i]
@@ -380,7 +439,7 @@ def _train_task(i, t, sync, slot, rng_state, step):
         local_train(st, run.cfg, run.dims, grad, scratch)
         if sync:
             delta = np.subtract(st.params[:n], run.start, out=grad[:n])
-            update, residual, n_bytes, nnz = comp.transmit(
+            wire, residual, n_bytes, nnz = comp.transmit(
                 delta, st.residual, run.k, run.cfg.quantization,
                 st.client_id, t)
     except (TrainingDiverged, comp.UnencodableUpdate) as exc:
@@ -393,10 +452,12 @@ def _train_task(i, t, sync, slot, rng_state, step):
         outcome = exc
     else:
         if sync:
-            run.slots[slot] = update
+            if isinstance(wire, np.ndarray):
+                run.slots[slot] = wire
+                wire = None
             if residual is not None:
                 st.residual[:] = residual
-            outcome = n_bytes, nnz
+            outcome = wire, n_bytes, nnz
     return outcome, st.rng.bit_generator.state, st.adam.step
 
 
@@ -511,8 +572,7 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
     include_head = not cfg.split_head
     rngs = _init_rngs(cfg)
     lb = nn.backbone_size(dims)
-    lh = nn.head_size(dims)
-    upload_len = lb + (lh if include_head else 0)
+    upload_len = _upload_len(cfg, dims)
     k = max(1, int(round(cfg.sparsity * upload_len)))
 
     global_flat = nn.flatten_backbone(nn.init_backbone(dims, rngs["backbone"]))
@@ -528,7 +588,8 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
     # others are never touched.
     run = _Run(cfg, dims, states, upload_len, k,
                start=_shared(CLIENT_DTYPE, upload_len),
-               slots=_shared(np.float64, len(states), upload_len),
+               slots=(_shared(CLIENT_DTYPE, len(states), upload_len)
+                      if _dense_uploads(cfg) else None),
                model=_shared(CLIENT_DTYPE, upload_len),
                ranges=_ranges(rows, 2 * workers))
 
@@ -541,6 +602,8 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
         initializer=_end_with_parent, initargs=(os.getpid(),))
         if workers > 1 else None)
     tasks = pool.map if pool else map
+    testing = f"the test passes of clients 0-{len(states) - 1}"
+    where = f"before round 0: {testing}"  # the work of the running tasks
     try:
         _run = run  # the workers fork at the first task, and inherit it
         history = [RoundEntry(0, evaluate(run, shadow, tasks), 0, 0, 0, 0.0)]
@@ -558,6 +621,7 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
             slots = sorted(range(len(participants)), key=lambda j: -states[
                 participants[j]].dataset.n_train)
             first = [participants[j] for j in slots]
+            where = f"round {t}: the training of clients {first}"
             outcomes = dict(zip(slots, tasks(
                 _train_task, first, repeat(t), repeat(sync), slots,
                 [states[i].rng.bit_generator.state for i in first],
@@ -571,16 +635,22 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
                     log.warning("round %d: %s; client skipped and rolled "
                                 "back", t, outcome)
                 elif outcome is not None:
-                    cum_bytes += outcome[0]
-                    nnz_total += outcome[1]
+                    wire, n_bytes, nnz = outcome
+                    cum_bytes += n_bytes
+                    nnz_total += nnz
                     n_payloads += 1
-                    updates.append(run.slots[slot])
+                    updates.append(run.slots[slot] if wire is None else wire)
             global_flat = aggregate(global_flat, updates)
             shadow = ema_update(shadow, global_flat, cfg.ema_beta)
             wall_ms = (time.perf_counter() - t0) * 1000.0
+            where = f"round {t}: {testing}"
             history.append(RoundEntry(t + 1, evaluate(run, shadow, tasks),
                                       cum_bytes, n_payloads, nnz_total,
                                       wall_ms))
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            f"{where}: a worker process ended abruptly (killed, for example "
+            f"when memory ran out)") from exc
     finally:
         if pool is not None:
             # Nothing is pending unless a task or the server raised.

@@ -1,6 +1,8 @@
 import dataclasses
+import multiprocessing
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -343,7 +345,7 @@ def test_print_config_with_fuzzed_flags_exits_0_or_1(flags):
     assert cli.main(argv) in (0, 1)
 
 
-# Numeric flags of the three commands that read or write data, drawn at
+# Numeric flags of the four commands that read or write data, drawn at
 # random on a tiny map: whatever the values, the answer is success, a usage
 # error or a data error, never a runtime error.  Floats stay within +-3 (plus
 # NaN and the infinities), so that no draw overflows on purpose.
@@ -366,6 +368,15 @@ _NUMERIC_FLAGS = {
               "--batch-size": st.integers(-2, 10**6).map(str),
               "--rho": _FLOAT, "--fraction": _FLOAT, "--lr": _FLOAT},
 }
+# A sweep takes the train flags and up to two values per grid, so that a
+# draw trains at most eight tiny cells.
+_NUMERIC_FLAGS["sweep"] = {
+    **_NUMERIC_FLAGS["train"],
+    "--rho-grid": st.lists(_FLOAT, min_size=1, max_size=2).map(",".join),
+    "--period-grid": st.lists(st.integers(-1, 3).map(str), min_size=1,
+                              max_size=2).map(",".join),
+    "--quant-grid": st.lists(st.sampled_from(["on", "off", "2", ""]),
+                             min_size=1, max_size=2).map(",".join)}
 
 
 def _command_flags(command):
@@ -383,11 +394,12 @@ def scratch_dir(tmp_path_factory):
 @given(drawn=st.one_of(*map(_command_flags, _NUMERIC_FLAGS)))
 def test_numeric_flags_exit_0_1_or_2(workspace, scratch_dir, drawn):
     command, pairs = drawn
+    run = ["--partition", workspace["part"], "--config", workspace["cfg"],
+           *TINY_TRAIN]
     base = {"gen-data": ["--size", "8", "--features", "3"],
             "partition": [workspace["map"], "--scenario", "heavy",
                           "--clients", "2x2"],
-            "train": ["--partition", workspace["part"],
-                      "--config", workspace["cfg"], *TINY_TRAIN]}[command]
+            "train": run, "sweep": run}[command]
     out = scratch_dir / ("map.remg" if command == "gen-data" else command)
     argv = [command, *base, *(f"{f}={v}" for f, v in pairs), "-o", str(out)]
     assert cli.main(argv) in (0, 1, 2)
@@ -412,6 +424,60 @@ def test_train_unquantizable_updates_are_skipped(workspace, tmp_path, caplog,
     assert float(rows[-1]["cum_uplink_mb"]) == 0.0
     skipped = [r for r in caplog.records if "client skipped" in r.getMessage()]
     assert sorted(r.args[0] for r in skipped) == [0] * 4 + [1] * 4
+
+
+# command -> (its flags, the train flags of its largest run): fedavg's
+# dense uploads, and a sweep whose second cell holds Top-K residuals.
+_RUNS = {"train": (["--mode", "fedavg"], ["--mode", "fedavg"]),
+         "sweep": (["--rho-grid", "1,0.5"], ["--rho", "0.5"])}
+
+
+@pytest.mark.parametrize("command", _RUNS)
+def test_run_that_cannot_fit_is_refused_before_it_allocates(
+        workspace, tmp_path, monkeypatch, capsys, command):
+    flags, largest = _RUNS[command]
+    base = ["--partition", workspace["part"], "--config", workspace["cfg"],
+            *TINY_TRAIN]
+    cfg = cli.build_run_config(cli.build_parser().parse_args(
+        ["train", *base, *largest]))
+    need = fed.shared_bytes(dat.load_partition(workspace["part"]), cfg)
+    # The memory figure is lowered; no large model is ever made.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(fed, "_shared", None)  # any allocation would raise
+    out = tmp_path / "run"
+    assert cli.main([command, *base, *flags, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"need {need:,} bytes" in err and f"the {need - 1:,} bytes" in err
+    for flag in ("--clients", "latent", "--rho", "--mode fedavg"):
+        assert flag in err
+    assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert cli.main([command, *base, *flags, "-o", str(out)]) == 0
+
+
+def test_a_dead_worker_names_the_round_and_its_clients(workspace, tmp_path,
+                                                       monkeypatch, capsys):
+    # Client 2's worker ends outright in round 1, as the OOM killer would
+    # end it: its first round trained it, so its Adam step is past 0.
+    real = fed.local_train
+
+    def train(state, *args, **kwargs):
+        if state.client_id == 2 and state.adam.step > 0:
+            os._exit(1)
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(fed, "_workers", lambda: 2)
+    monkeypatch.setattr(fed, "local_train", train)
+    rc = cli.main(["train", "--partition", workspace["part"], "--config",
+                   workspace["cfg"], *TINY_TRAIN, "-o", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    flight = re.search(r"round 1: the training of clients \[([\d, ]+)\]: "
+                       r"a worker process ended abruptly", err)
+    assert flight, err
+    assert sorted(map(int, flight.group(1).split(","))) == [0, 1, 2, 3]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,18 @@ WIRE_FORMS = {  # id -> (Top-K, quantized, bytes for n entries of k kept)
 }
 
 
+def _dense(wire, length):
+    """The float64 vector of ``length`` that a wire form of ``transmit``
+    stands for, as the server sums it."""
+    if isinstance(wire, bytes):
+        return comp.dequantize(comp.decode(wire))
+    if isinstance(wire, tuple):
+        out = np.zeros(length)
+        out[wire[0]] = wire[1]
+        return out
+    return wire.astype(np.float64)
+
+
 @pytest.mark.parametrize("topk, quantized, size", WIRE_FORMS.values(),
                          ids=WIRE_FORMS.keys())
 def test_transmit_wire_forms(topk, quantized, size):
@@ -323,8 +335,19 @@ def test_transmit_wire_forms(topk, quantized, size):
     delta = rng.normal(size=n)
     residual = rng.normal(size=n) * 0.1 if topk else None
     before = None if residual is None else residual.copy()
-    update, new_residual, n_bytes, nnz = comp.transmit(
+    wire, new_residual, n_bytes, nnz = comp.transmit(
         delta, residual, k, quantized, client_id=4, round_no=2)
+    update = _dense(wire, n)
+    if quantized:
+        q = comp.decode(wire)
+        assert (len(wire), q.client_id, q.round) == (n_bytes, 4, 2)
+    elif topk:
+        index, values = wire
+        assert (index.dtype, values.dtype) == (np.uint32, np.float32)
+        assert np.all(np.diff(index.astype(np.int64)) > 0)
+        assert np.all(values != 0)
+    else:
+        assert wire.dtype == np.float32
     assert n_bytes == size(n, k)
     assert nnz == (k if topk else 0)
     if not topk:
@@ -414,8 +437,9 @@ def test_telescoping_in_float32_through_transmit(quantized):
         delta = rng.normal(size=length).astype(np.float32)
         raw += delta
         exact_u = delta.astype(np.float64) + residual
-        update, new_residual, _, _ = comp.transmit(delta, residual, k,
-                                                   quantized, 0, t)
+        wire, new_residual, _, _ = comp.transmit(delta, residual, k,
+                                                 quantized, 0, t)
+        update = _dense(wire, length)
         assert update.dtype == np.float64
         transmitted += update
         residual[:] = new_residual

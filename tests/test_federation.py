@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import multiprocessing
 import os
 import select
@@ -93,6 +94,14 @@ def test_aggregate_empty_is_identity():
 def test_aggregate_length_mismatch():
     with pytest.raises(fed.AggregationError):
         fed.aggregate(np.zeros(3), [np.zeros(4)])
+
+
+def test_aggregate_index_beyond_length():
+    beyond = (np.array([0, 3], np.uint32), np.ones(2, np.float32))
+    payload = comp.encode(comp.quantize(np.ones(4)))
+    for update in (beyond, payload):
+        with pytest.raises(fed.AggregationError):
+            fed.aggregate(np.zeros(3), [np.zeros(3), update])
 
 
 def test_ema_extremes():
@@ -304,20 +313,66 @@ def test_roundlog_csv_schema(small_partition, tmp_path):
 # flat store and failure isolation
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=10)
-@given(data=st.data(), length=st.integers(1, 12), n=st.integers(1, 9))
-def test_aggregate_unweighted_equals_stacked_mean_bitwise(data, length, n):
-    vector = st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                      min_size=length, max_size=length).map(np.array)
-    theta = data.draw(vector)
-    updates = [data.draw(vector) for _ in range(n)]
-    # Sums of huge finite values overflow alike on both sides.
-    with np.errstate(over="ignore", invalid="ignore"):
-        expect = theta + np.mean(np.stack(updates), axis=0)
-        got = fed.aggregate(theta, updates)
-        streamed = fed.aggregate(theta, iter(updates))
-    assert np.array_equal(got, expect, equal_nan=True)
-    assert np.array_equal(streamed, expect, equal_nan=True)
+def _value(width=64):
+    """Finite floats of ``width`` bits, with both signed zeros often: a
+    float32 value can underflow to -0.0."""
+    return st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(allow_nan=False, allow_infinity=False,
+                               width=width))
+
+
+def _upload(form, length):
+    """(wire form, its dense float64 vector) of one upload of ``length``."""
+    if form == "dense-float64":
+        return st.lists(_value(), min_size=length, max_size=length).map(
+            lambda v: (np.array(v), np.array(v)))
+    if form == "dense-float32":
+        return st.lists(_value(32), min_size=length, max_size=length).map(
+            lambda v: (np.array(v, np.float32), np.array(v)))
+    index = st.sets(st.integers(0, length - 1)).map(
+        lambda s: np.array(sorted(s), np.uint32))
+    if form == "topk-float32":
+        return index.flatmap(lambda i: st.lists(
+            _value(32), min_size=i.size, max_size=i.size).map(
+            lambda v: ((i, np.array(v, np.float32)), _scatter(i, v, length))))
+    scale = st.floats(2.0**-100, 2.0**100, width=32)
+    return st.tuples(index, scale).flatmap(lambda p: st.lists(
+        st.integers(-comp.QMAX, comp.QMAX), min_size=p[0].size,
+        max_size=p[0].size).map(lambda q: (
+            comp.encode(comp.QuantizedUpdate(p[0], np.array(q, np.int8),
+                                             p[1], length, 0, 0)),
+            _scatter(p[0], np.array(q) * p[1], length))))
+
+
+def _scatter(index, values, length):
+    dense = np.zeros(length)
+    dense[index] = values
+    return dense
+
+
+# Every wire form the server sums: dense float64 (the reference), the dense
+# float32 of a result slot, Top-K (indices, float32 values) and QUP1.  Small
+# lengths make uploads share indices.
+@settings(max_examples=40)
+@given(data=st.data(), length=st.integers(1, 12), n=st.integers(0, 9),
+       form=st.sampled_from(["dense-float64", "dense-float32",
+                             "topk-float32", "qup1"]))
+def test_aggregate_unweighted_equals_stacked_mean_bitwise(data, length, n,
+                                                          form):
+    theta = data.draw(st.lists(_value(), min_size=length,
+                               max_size=length).map(np.array))
+    updates, dense = zip(*[data.draw(_upload(form, length))
+                           for _ in range(n)]) if n else ((), ())
+    # Sums of huge finite values overflow alike on both sides.  A theta of
+    # -0.0 shows the sign of a zero mean.
+    for theta in (theta, np.full(length, -0.0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = theta + np.mean(np.stack(dense), axis=0) if n else theta
+            got = fed.aggregate(theta, updates)
+            streamed = fed.aggregate(theta, iter(updates))
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert np.array_equal(streamed, expect, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 def test_local_train_updates_store_in_place(small_partition):
@@ -627,6 +682,45 @@ def test_worker_count_changes_no_output(small_partition, monkeypatch, kw):
     assert runs[1:] == runs[:1] * 3
 
 
+# Each upload form with whether it returns through a result slot: QUP1
+# payloads and Top-K pairs return with their task's outcome.
+UPLOAD_FORMS = {"qup1": (dict(), False),
+                "topk-float32": (dict(quantization=False), False),
+                "dense-float32": (dict(sparsity=1.0, quantization=False),
+                                  True),
+                "fedavg": (dict(mode="fedavg"), True)}
+
+
+@pytest.mark.parametrize("kw, dense", UPLOAD_FORMS.values(),
+                         ids=UPLOAD_FORMS.keys())
+def test_result_slots_only_for_dense_uploads(small_partition, monkeypatch,
+                                             kw, dense):
+    runs, made = [], []
+    evaluate, shared = fed.evaluate, fed._shared
+
+    def recording_evaluate(run, *args):
+        runs.append(run)
+        return evaluate(run, *args)
+
+    def recording_shared(dtype, *shape):
+        made.append(np.dtype(dtype).itemsize * math.prod(shape))
+        return shared(dtype, *shape)
+
+    monkeypatch.setattr(fed, "evaluate", recording_evaluate)
+    monkeypatch.setattr(fed, "_shared", recording_shared)
+    cfg = tiny_cfg(rounds=1, **kw)
+    res = fed.run_training(small_partition, cfg)
+    assert res.final.n_payloads == len(small_partition.clients)
+    slots = runs[0].slots
+    if dense:
+        assert slots.dtype == fed.CLIENT_DTYPE
+        assert slots.shape == (len(small_partition.clients), res.upload_len)
+    else:
+        assert slots is None
+    # The size check before a run counts exactly what the run maps.
+    assert sum(made) == fed.shared_bytes(small_partition, cfg)
+
+
 def test_skips_are_logged_in_participant_order(small_partition, monkeypatch,
                                                caplog):
     # Client 3 fails before client 1 does; the log still names 1 first.
@@ -689,7 +783,8 @@ part = dat.grid_partition(grid, dat.heterogeneity(grid), "heavy", rows=2,
 real = fed.local_train
 
 def train(state, *args, **kwargs):
-    print(os.getpid(), flush=True)
+    # One write of a short line: the two workers' lines never interleave.
+    os.write(1, b"%d\\n" % os.getpid())
     return real(state, *args, **kwargs)
 
 fed.local_train = train

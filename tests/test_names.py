@@ -93,3 +93,34 @@ def test_readme_lists_the_partition_keys(small_partition, tmp_path):
                        ("stats.txt", tmp_path / "client_000" / "stats.txt")):
         keys = re.search(rf"`{name}` holds\s(.*?):", formats, re.S)
         assert re.findall(r"`(\w+)`", keys.group(1)) == list(dat.read_kv(path))
+
+
+def test_count_hooks_read_the_calls_the_program_makes(small_partition,
+                                                      tmp_path, monkeypatch):
+    # The benchmark's counts come from hooks on the traced calls' arguments
+    # and results; a changed signature would break only traced runs.
+    tracer = spans.Tracer([(name, MODULES[name.split(".")[0]],
+                            name.split(".")[1]) for name in spans.COUNT_HOOKS])
+    cfg = fed.RunConfig(rounds=1, sync_period=1, local_epochs=1, hidden1=8,
+                        hidden2=8, latent=16, head_hidden=4, seed=1)
+    monkeypatch.setattr(fed, "_workers", lambda: 1)  # count in this process
+    tracer.install()
+    try:
+        dat.export_partition(small_partition, tmp_path)
+        res = fed.run_training(small_partition, cfg)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[""]
+    clients = small_partition.clients
+    steps = sum(-(-c.n_train // cfg.batch_size) for c in clients)
+    assert counts["nn.rows_forwarded"] == sum(
+        c.n_train + (cfg.rounds + 1) * c.n_test for c in clients)
+    assert counts["nn.params_updated"] == steps * (
+        nn.backbone_size(res.dims) + nn.head_size(res.dims))
+    assert counts["compression.payloads"] == res.final.n_payloads \
+        == len(clients)
+    assert counts["compression.nnz"] == res.final.nnz_total
+    assert counts["compression.uplink_bytes"] == res.final.cum_bytes \
+        == 21 * len(clients) + 5 * res.final.nnz_total
+    assert counts["data.partition_bytes"] == sum(
+        p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
