@@ -6,6 +6,8 @@ samples (2 coordinates + P features -> M signals); a heterogeneity field over
 the per-cell spread of the M signals carves light/medium/heavy scenarios,
 which are then split into a spatial grid of virtual clients with per-client
 normalization (coords min-max to [0,1], labels z-scored with local stats).
+The synthetic map's Gaussian blur is numpy and reproduces
+``scipy.ndimage.gaussian_filter`` (``reflect``, truncate 4) bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 GRID_MAGIC = b"REMG1"
 DEFAULT_FLOOR_DB = -150.0
@@ -132,6 +133,37 @@ _OBSTACLE_PENALTY_DB = 2.5  # per cell of ray length through obstacles
 _NOISE_FEATURE_CHANNELS = 6  # smoothed-noise feature layers
 
 
+def _blur_axis0(a, phi):
+    """``a`` correlated with the symmetric kernel ``phi`` along axis 0, its
+    edges extended by reflection (``d c b a | a b c d | d c b a``, repeated
+    when the kernel outreaches the array).  Each output is ``x0 * w0``, then
+    ``+= (x[-j] + x[+j]) * w[j]`` for j from the radius down to 1: the order
+    of the symmetric loop of scipy's ``NI_Correlate1D``."""
+    n, r = a.shape[0], phi.size // 2
+    i = np.arange(-r, n + r) % (2 * n)
+    ext = a[np.where(i < n, i, 2 * n - 1 - i)]  # C-ordered, whatever a is
+    out = ext[r:r + n] * phi[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(ext[r - j:r - j + n], ext[r + j:r + j + n], out=pair)
+        pair *= phi[r + j]
+        out += pair
+    return out
+
+
+def _gaussian_blur(a, sigma):
+    """``scipy.ndimage.gaussian_filter(a, sigma)`` of a 2-D float64 array
+    (mode ``reflect``, truncate 4), bit for bit: scipy's kernel, edges and
+    order of sums, along axis 0 and then axis 1.  The result is C-ordered,
+    as scipy's is: the order of a later reduction such as ``std`` follows
+    the memory layout, and so do its bits."""
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    phi = phi / phi.sum()
+    return np.ascontiguousarray(_blur_axis0(_blur_axis0(a, phi).T, phi).T)
+
+
 def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
     """Log-distance path loss + correlated shadowing + obstacle penalties.
 
@@ -158,13 +190,20 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
             raise ConfigError("transmitter outside grid")
 
     obstacles = (rng.random((h, w)) < cfg.obstacle_density).astype(float)
+    flat_obstacles = obstacles.ravel()
     rr, cc = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
                          indexing="ij")
+    # Buffers of the ray loop, which gathers _RAY_SAMPLES x n_bs times.
+    point, sampled = np.empty((2, h, w))
+    cell, col = np.empty((2, h, w), dtype=np.intp)
 
     signals = np.empty((cfg.n_bs, h, w))
+    nearest = None  # distance to the nearest transmitter
     for m in range(cfg.n_bs):
         r0, c0 = tx[m]
-        d = np.hypot(rr - r0, cc - c0)
+        dr, dc = rr - r0, cc - c0
+        d = np.hypot(dr, dc)
+        nearest = d if nearest is None else np.minimum(nearest, d)
         d_eff = np.maximum(d, 0.5)
         pl = 10.0 * cfg.path_loss_exp * np.log10(d_eff / 0.5)
         s = _TX_POWER_DB - pl
@@ -172,13 +211,21 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
             hits = np.zeros((h, w))
             for k in range(_RAY_SAMPLES):
                 t = (k + 0.5) / _RAY_SAMPLES
-                pr = np.clip(np.rint(r0 + t * (rr - r0)).astype(int), 0, h - 1)
-                pc = np.clip(np.rint(c0 + t * (cc - c0)).astype(int), 0, w - 1)
-                hits += obstacles[pr, pc]
+                # The cell nearest r0 + t * (rr - r0), c0 + t * (cc - c0),
+                # as a flat index row * w + col.
+                np.rint(np.add(np.multiply(dr, t, out=point), r0, out=point),
+                        out=point)
+                np.clip(point, 0, h - 1, out=cell, casting="unsafe")
+                np.rint(np.add(np.multiply(dc, t, out=point), c0, out=point),
+                        out=point)
+                np.clip(point, 0, w - 1, out=col, casting="unsafe")
+                cell *= w
+                cell += col
+                hits += np.take(flat_obstacles, cell, out=sampled)
             s = s - _OBSTACLE_PENALTY_DB * (hits / _RAY_SAMPLES) * d
         if cfg.shadowing_db > 0.0:
-            shadow = gaussian_filter(rng.standard_normal((h, w)),
-                                     _SHADOW_CORR_CELLS)
+            shadow = _gaussian_blur(rng.standard_normal((h, w)),
+                                    _SHADOW_CORR_CELLS)
             std = shadow.std()
             if std > 0:
                 shadow = shadow / std * cfg.shadowing_db
@@ -186,13 +233,10 @@ def generate_synthetic_map(cfg: SyntheticMapConfig) -> RadioMapGrid:
         signals[m] = np.maximum(s, DEFAULT_FLOOR_DB)
 
     features = np.zeros((cfg.n_features, h, w))
-    feat_layers = [obstacles]
-    dist_all = np.stack([np.hypot(rr - tx[m, 0], cc - tx[m, 1])
-                         for m in range(cfg.n_bs)])
-    feat_layers.append(dist_all.min(axis=0) / math.hypot(h, w))
+    feat_layers = [obstacles, nearest / math.hypot(h, w)]
     n_noise = min(_NOISE_FEATURE_CHANNELS, max(0, cfg.n_features - 2))
     for _ in range(n_noise):
-        feat_layers.append(gaussian_filter(rng.standard_normal((h, w)), 4.0))
+        feat_layers.append(_gaussian_blur(rng.standard_normal((h, w)), 4.0))
     for i, layer in enumerate(feat_layers[:cfg.n_features]):
         features[i] = layer
 

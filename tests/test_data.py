@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import shutil
 
@@ -51,6 +52,64 @@ def test_signals_respect_floor():
     grid = dat.generate_synthetic_map(
         _clean_cfg(path_loss_exp=8.0, tx_positions=[(0, 0), (1, 1)]))
     assert grid.signals.min() == dat.DEFAULT_FLOOR_DB
+
+
+def test_obstacle_penalty_and_distance_layer_follow_each_ray():
+    # Reference: each of the ray's points rounded to its cell and gathered
+    # with a 2-D index.  A map that is not square catches a swapped axis.
+    h, w = 13, 21
+    cfg = dat.SyntheticMapConfig(
+        seed=4, width=w, height=h, n_bs=2, n_features=2,
+        tx_positions=[(0, 0), (12, 7.5)], obstacle_density=0.3,
+        shadowing_db=0.0)
+    grid = dat.generate_synthetic_map(cfg)
+    obstacles = grid.features[0]
+    rr, cc = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
+                         indexing="ij")
+    dists = []
+    for m, (r0, c0) in enumerate(np.asarray(cfg.tx_positions, dtype=float)):
+        hits = np.zeros((h, w))
+        for k in range(dat._RAY_SAMPLES):
+            t = (k + 0.5) / dat._RAY_SAMPLES
+            pr = np.clip(np.rint(r0 + t * (rr - r0)).astype(int), 0, h - 1)
+            pc = np.clip(np.rint(c0 + t * (cc - c0)).astype(int), 0, w - 1)
+            hits += obstacles[pr, pc]
+        d = np.hypot(rr - r0, cc - c0)
+        pl = 10.0 * cfg.path_loss_exp * np.log10(np.maximum(d, 0.5) / 0.5)
+        s = dat._TX_POWER_DB - pl \
+            - dat._OBSTACLE_PENALTY_DB * (hits / dat._RAY_SAMPLES) * d
+        assert hits.any()
+        assert np.array_equal(grid.signals[m],
+                              np.maximum(s, dat.DEFAULT_FLOOR_DB))
+        dists.append(d)
+    assert np.array_equal(grid.features[1],
+                          np.minimum(*dists) / math.hypot(h, w))
+
+
+# The map blur is numpy and has scipy's bits: scipy is imported only here.
+@given(h=st.integers(1, 70), w=st.integers(1, 70),
+       sigma=st.sampled_from([4.0, 8.0]), seed=st.integers(0, 2**16))
+@example(h=256, w=256, sigma=8.0, seed=0)
+@example(h=1, w=1, sigma=8.0, seed=1)  # radius 32 > side: reflected again
+@example(h=16, w=3, sigma=8.0, seed=2)
+def test_blur_equals_scipy_gaussian_filter_bit_for_bit(h, w, sigma, seed):
+    from scipy.ndimage import gaussian_filter
+    a = np.random.default_rng(seed).standard_normal((h, w))
+    got = dat._gaussian_blur(a, sigma)
+    assert np.array_equal(got, gaussian_filter(a, sigma))
+    # C order, as scipy's: a later std sums in memory order.
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("side", [64, 256])
+def test_map_equals_the_map_blurred_by_scipy(side, monkeypatch):
+    from scipy.ndimage import gaussian_filter
+    cfg = dat.SyntheticMapConfig(seed=1, width=side, height=side)
+    grid = dat.generate_synthetic_map(cfg)
+    monkeypatch.setattr(dat, "_gaussian_blur", gaussian_filter)
+    want = dat.generate_synthetic_map(cfg)
+    assert np.array_equal(grid.signals, want.signals)
+    assert np.array_equal(grid.features, want.features)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +487,32 @@ def test_mutated_sample_csv_raises_only_ingestion_error(sample_csv, data,
         return
     assert x.shape == (rc.shape[0], 2 + part.n_features)
     assert y.shape == (rc.shape[0], part.n_bs)
+
+
+# One line of any sample CSV of a whole partition directory, header
+# included, replaced by arbitrary text: the partition loads, with finite
+# samples of the right widths, or it is an IngestionError.
+@given(data=st.data(), client=st.integers(0, 3),
+       name=st.sampled_from(["train.csv", "test.csv"]),
+       text=st.text(max_size=24))
+def test_mutated_partition_csv_raises_only_ingestion_error(
+        partition_dir, data, client, name, text):
+    path = partition_dir / f"client_{client:03d}" / name
+    original = path.read_text(encoding="utf-8")
+    lines = original.splitlines()
+    lines[data.draw(st.integers(0, len(lines) - 1))] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        part = dat.load_partition(partition_dir)
+    except dat.IngestionError:
+        return
+    finally:
+        path.write_text(original, encoding="utf-8")
+    for c in part.clients:
+        for x, y in ((c.x_train, c.y_train), (c.x_test, c.y_test)):
+            assert x.shape == (y.shape[0], 2 + part.n_features) and len(x)
+            assert y.shape[1] == part.n_bs
+            assert np.isfinite(x).all() and np.isfinite(y).all()
 
 
 def test_sample_csv_line_is_row_col_then_repr_of_each_value(small_partition,

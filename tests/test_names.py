@@ -2,11 +2,15 @@
 field the benchmark's code uses, and every name the package exports,
 resolves: a rename or deletion fails here in well under a second, not only
 in the minutes-long benchmark self-test.  The README's config keys,
-``--ablate`` table and partition metadata keys match the code's."""
+``--ablate`` table and partition metadata keys match the code's.  No
+module imports a scipy submodule: ``scipy.ndimage`` alone would add about
+21 MB to every process, the forked workers included."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -124,3 +128,29 @@ def test_count_hooks_read_the_calls_the_program_makes(small_partition,
         == 21 * len(clients) + 5 * res.final.nnz_total
     assert counts["data.partition_bytes"] == sum(
         p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+
+
+def test_no_module_imports_a_scipy_submodule():
+    # cli imports the top-level package, for the manifest's version line.
+    found = []
+    for path in sorted((ROOT / "src" / "remfl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == [("cli.py", "scipy")]
+
+
+def test_importing_the_cli_loads_no_scipy_submodule():
+    heavy = ("scipy.ndimage", "scipy.special", "scipy.linalg")
+    code = ("import sys, remfl.cli; "
+            f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == []
