@@ -8,6 +8,16 @@ which are then split into a spatial grid of virtual clients with per-client
 normalization (coords min-max to [0,1], labels z-scored with local stats).
 The synthetic map's Gaussian blur is numpy and reproduces
 ``scipy.ndimage.gaussian_filter`` (``reflect``, truncate 4) bit for bit.
+The synthetic map fills 8 feature layers (obstacle mask, distance to the
+nearest transmitter over the map diagonal, 6 blurred noise fields); any
+further layers are zero, and every sample row still carries them.
+
+Sample tables are text: ``repr`` of each value, one cell per line.  They
+are written and read a column at a time, not a field at a time: a column of
+one bit pattern is formatted once, and a column of one text is converted
+once, by Python's ``int`` and ``float``.  The bytes and arrays are those of
+the row-by-row form, which still reads any file the column path rejects,
+to name its first bad line.
 """
 
 from __future__ import annotations
@@ -281,17 +291,21 @@ def load_grid(path) -> RadioMapGrid:
 
 
 def save_grid_csv(grid: RadioMapGrid, path):
-    """Debug CSV: one row per cell: row, col, s1..sM, f1..fP."""
+    """Debug CSV: one row per cell: row, col, s1..sM, f1..fP.  The values
+    are those the REMG1 file holds, float32 widened to float64: what
+    ``load_grid`` returns, and so what a partition of the map is made of."""
     header = ["row", "col"] + [f"s{i+1}" for i in range(grid.n_bs)] \
         + [f"f{i+1}" for i in range(grid.n_features)]
+    rc = np.zeros((grid.width, 2), dtype=int)
+    rc[:, 1] = np.arange(grid.width)
 
-    def rows():  # a grid row at a time: the whole grid is millions of floats
+    def blocks():  # a grid row at a time: the whole grid is millions of floats
         for r in range(grid.height):
-            yield from _cell_rows(
-                [(r, c) for c in range(grid.width)],
-                np.vstack([grid.signals[:, r], grid.features[:, r]]).T)
+            rc[:, 0] = r
+            values = np.vstack([grid.signals[:, r], grid.features[:, r]]).T
+            yield rc, values.astype("<f4").astype(float)
 
-    write_csv(path, header, rows())
+    _write_cell_csv(path, header, blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +505,49 @@ def read_csv(path, parse, width=None):
     return header, rows
 
 
-def _cell_rows(rc, values):
-    """Text rows of a cell table: row, col, then ``repr`` of each value, a
-    Python float from ``.tolist()`` (a numpy scalar's repr is
-    ``np.float64(...)``)."""
-    for (r, c), vals in zip(rc, values.tolist()):
-        yield [str(r), str(c), *map(repr, vals)]
+def _same_bits(a):
+    """Per column of a 2-D array, whether all its values have one bit
+    pattern: compared as unsigned ints of the same width, since
+    ``0.0 == -0.0`` but the two print differently."""
+    bits = a.view(f"u{a.itemsize}")
+    return (bits == bits[0]).all(axis=0)
+
+
+def _cell_text(rc, values) -> str:
+    """The lines of a cell table, each ending in a newline: row, col, then
+    ``repr`` of each value, a Python int or float from ``.tolist()`` (a
+    numpy scalar's repr is ``np.float64(...)``; an int's repr is its str).
+    Each column is formatted once, and a column of one bit pattern is
+    formatted from its first value into the ``%`` line template (no repr of
+    an int or a float holds a ``%``)."""
+    if not rc.shape[0]:
+        return ""
+    rc_same, values_same = _same_bits(rc), _same_bits(values)
+    template = ",".join(
+        repr(v) if same else "%s" for same, v in zip(
+            [*rc_same.tolist(), *values_same.tolist()],
+            rc[0].tolist() + values[0].tolist())) + "\n"
+    varying = [list(map(repr, col)) for col in
+               rc[:, ~rc_same].T.tolist() + values[:, ~values_same].T.tolist()]
+    if not varying:
+        return (template % ()) * rc.shape[0]
+    return "".join(map(template.__mod__, zip(*varying)))
+
+
+def _write_cell_csv(path, header, blocks):
+    """A cell table: the ``header`` names, then ``_cell_text`` of each
+    ``(rc, values)`` block."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for rc, values in blocks:
+            f.write(_cell_text(rc, values))
 
 
 def _write_samples_csv(path, rc, x, y):
     header = ["row", "col", "cx", "cy"] \
         + [f"f{i+1}" for i in range(x.shape[1] - 2)] \
         + [f"y{i+1}" for i in range(y.shape[1])]
-    write_csv(path, header, _cell_rows(rc.tolist(), np.hstack([x, y])))
+    _write_cell_csv(path, header, [(rc, np.hstack([x, y]))])
 
 
 def _sample_row(v, header):
@@ -526,9 +570,54 @@ def _finite_row(v, header):
         raise ValueError("non-finite value")
 
 
+_BLOCK_LINES = 64  # sample lines split into fields at once
+
+
+def _sample_columns(path, n_features, n_bs):
+    """(rc, x, y) of a sample CSV, converted a column at a time by the calls
+    ``_sample_row`` makes, or a ValueError (a UnicodeDecodeError included)
+    for any file ``read_csv`` with ``_sample_row`` and ``_finite_row`` would
+    reject.  Its lines are those ``read_csv`` reads: text-mode iteration,
+    which ends a line at ``"\\n"`` after newline translation only
+    (``splitlines`` would also end one at ``\\x0b``, ``\\u2028`` and
+    others), stripped, blank ones skipped.  A column whose fields are all
+    one text is converted once.  Fields are split a block of lines at a
+    time, so that few field strings are alive at once."""
+    with open(path, encoding="utf-8") as f:
+        f.readline()  # the header
+        lines = [line for line in map(str.strip, f) if line]
+    n, width = len(lines), 4 + n_features + n_bs
+    rc = np.empty((n, 2), dtype=int)
+    x, y = np.empty((n, 2 + n_features)), np.empty((n, n_bs))
+    for start in range(0, n, _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        if any(line.count(",") != width - 1 for line in block):
+            raise ValueError("wrong field count")
+        fields = ",".join(block).split(",")
+        for j, out in enumerate([*rc.T, *x.T, *y.T]):
+            column = fields[j::width]
+            cast = int if j < 2 else float
+            if column.count(column[0]) == len(column):
+                values = [cast(column[0])]
+            else:
+                values = list(map(cast, column))
+            if j < 2 and not (min(values) >= 0 and max(values) < 2**32):
+                raise ValueError("row or col outside [0, 2**32)")
+            out[start:start + len(block)] = values
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite value")
+    return rc, x, y
+
+
 def _read_samples_csv(path, n_features, n_bs):
     """(rc, x, y) of a sample CSV.  A row that is not 4 + P + M finite
-    numbers is an IngestionError naming the file and the line."""
+    numbers is an IngestionError naming the file and the line: a file that
+    ``_sample_columns`` rejects is read again a row at a time, which names
+    the first bad line."""
+    try:
+        return _sample_columns(path, n_features, n_bs)
+    except ValueError:
+        pass
     width = 4 + n_features + n_bs
     _, rows = read_csv(path, _sample_row, width)
     table = np.array(rows, dtype=float).reshape(-1, width)

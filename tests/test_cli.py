@@ -72,6 +72,19 @@ def test_gen_data_desk_preset_size(tmp_path):
     assert grid.width == grid.height == 64
 
 
+def test_gen_data_csv_holds_the_values_partition_reads(tmp_path):
+    out, csv = tmp_path / "map.remg", tmp_path / "map.csv"
+    assert cli.main(["gen-data", "--size", "6", "--bs", "2", "--features",
+                     "3", "-o", str(out), "--csv", str(csv)]) == 0
+    grid = dat.load_grid(out)
+    lines = csv.read_text(encoding="utf-8").splitlines()[1:]
+    values = np.array([[float(v) for v in line.split(",")[2:]]
+                       for line in lines])
+    layers = values.T.reshape(-1, 6, 6)
+    assert np.array_equal(layers[:2], grid.signals)
+    assert np.array_equal(layers[2:], grid.features)
+
+
 # ---------------------------------------------------------------------------
 # partition
 # ---------------------------------------------------------------------------

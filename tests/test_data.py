@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,13 +147,37 @@ def test_csv_roundtrip(tmp_path):
     grid = dat.generate_synthetic_map(_clean_cfg(width=6, height=5))
     path = tmp_path / "map.csv"
     dat.save_grid_csv(grid, path)
+    # The CSV holds what the REMG1 file holds, which a partition is made of.
+    dat.save_grid(grid, tmp_path / "map.remg")
+    saved = dat.load_grid(tmp_path / "map.remg")
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     # One row per cell in row-major order: row, col, s1..sM, f1..fP.
     cells = np.indices((grid.height, grid.width)).reshape(2, -1).T
     assert np.array_equal(rows[:, :2], cells)
     layers = rows[:, 2:].T.reshape(-1, grid.height, grid.width)
-    assert np.array_equal(layers[:grid.n_bs], grid.signals)
-    assert np.array_equal(layers[grid.n_bs:], grid.features)
+    assert np.array_equal(layers[:grid.n_bs], saved.signals)
+    assert np.array_equal(layers[grid.n_bs:], saved.features)
+
+
+def test_grid_csv_text_is_row_col_then_repr_of_each_saved_value(tmp_path):
+    # 2 x 3 cells, M = 2, P = 3: a varying signal, a signal of 0.0 with one
+    # -0.0, an all-zero feature, a constant feature and a float32 subnormal.
+    signals = np.array([[[0.1, -1e16, 1e-4], [-150.0, 2.5, 3.0]],
+                        [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0]]])
+    features = np.zeros((3, 2, 3))
+    features[1] = 7.25
+    features[2, 1, 2] = 1e-40
+    path = tmp_path / "map.csv"
+    dat.save_grid_csv(dat.RadioMapGrid(3, 2, signals, features), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "row,col,s1,s2,f1,f2,f3"
+    assert lines[1] == "0,0,0.10000000149011612,0.0,0.0,7.25,0.0"
+    assert lines[5] == "1,1,2.5,-0.0,0.0,7.25,0.0"
+    assert lines[6] == "1,2,3.0,0.0,0.0,7.25,9.99994610111476e-41"
+    wide = [np.float32(v).item() for v in signals.ravel()]
+    assert [line.split(",")[2] for line in lines[1:-1]] \
+        == list(map(repr, wide[:6]))
+    assert lines[-1] == "" and len(lines) == 8
 
 
 def test_input_vector_length_is_2_plus_p(desk_heavy_partition):
@@ -559,3 +584,182 @@ def test_header_only_sample_csv_loads_empty(tmp_path):
     assert len(path.read_text().splitlines()) == 1
     rc, x, y = dat._read_samples_csv(path, 3, 4)
     assert (rc.shape, x.shape, y.shape) == ((0, 2), (0, 5), (0, 4))
+
+
+# Differential tests of the column-wise sample-table writer and reader
+# against a row-by-row reference and the row path (read_csv + _sample_row).
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308,  # subnormals
+                2.225073858507201e-308, 1e-4, 9.999999999999999e-05,
+                0.00010000000000000002, 1e16, 9999999999999998.0,
+                1.0000000000000002e16, -1e16, 0.1, 1.0, -150.0]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_CELL_INTS = st.integers(0, 2**32 - 1)
+
+
+def _column(draw, values, n, kinds=("varied", "constant", "signed-zero")):
+    """One column of n values: drawn one by one, one drawn value n times,
+    or 0.0 with one -0.0."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "varied":
+        return draw(st.lists(values, min_size=n, max_size=n))
+    if kind == "constant" or not n:
+        return [draw(values)] * n
+    column = [0.0] * n
+    column[draw(st.integers(0, n - 1))] = -0.0
+    return column
+
+
+@st.composite
+def _sample_tables(draw, floats=_FLOATS):
+    """(rc, x, y) of 0, 1 or many samples, with 0 to 3 features."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 40]))
+    p, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    rc = np.array([_column(draw, _CELL_INTS, n, ("varied", "constant"))
+                   for _ in range(2)], dtype=int).T.reshape(n, 2)
+    values = np.array([_column(draw, floats, n) for _ in range(2 + p + m)],
+                      dtype=float).T.reshape(n, 2 + p + m)
+    return rc, values[:, :2 + p], values[:, 2 + p:]
+
+
+def _reference_text(rc, x, y):
+    header = ["row", "col", "cx", "cy"] \
+        + [f"f{i+1}" for i in range(x.shape[1] - 2)] \
+        + [f"y{i+1}" for i in range(y.shape[1])]
+    lines = [",".join(header)]
+    for (r, c), row in zip(rc.tolist(), np.hstack([x, y]).tolist()):
+        lines.append(f"{r},{c}," + ",".join(map(repr, row)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _row_path(path, p, m):
+    """The sample table as the row path reads it: (rc, x, y), or the
+    message of its IngestionError."""
+    width = 4 + p + m
+    try:
+        _, rows = dat.read_csv(path, dat._sample_row, width)
+        table = np.array(rows, dtype=float).reshape(-1, width)
+        if not np.isfinite(table).all():
+            dat.read_csv(path, dat._finite_row, width)
+    except dat.IngestionError as exc:
+        return str(exc)
+    return table[:, :2].astype(int), table[:, 2:4 + p], table[:, 4 + p:]
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@given(table=_sample_tables())
+@example(table=(np.zeros((3, 2), dtype=int),
+                np.array([[0.0, 1e-4], [-0.0, 1e-4], [0.0, 1e-4]]),
+                np.array([[5e-324], [5e-324], [-5e-324]])))
+def test_sample_csv_writer_matches_the_row_reference(table_dir, table):
+    rc, x, y = table
+    path = table_dir / "written.csv"
+    dat._write_samples_csv(path, rc, x, y)
+    assert path.read_bytes() == _reference_text(rc, x, y).encode("utf-8")
+
+
+# Text a field or a line may be replaced with: each is read the same by
+# Python's int and float as by the row path, or rejected by both.
+_FIELD_TEXT = st.one_of(
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "-1", str(2**32),
+                     "4294967295", "1_0", "0x10", "١٢", " 7 ",
+                     "\x0b3", "1\u20282", "2\x1c", "-0.0", "1.5", "9" * 30]),
+    st.text(max_size=6))
+
+
+_WHITESPACE = st.sampled_from([" ", "\t", "\x0b", "\x1c", "\u2028"])
+
+
+@given(table=_sample_tables(st.one_of(
+           st.sampled_from(_EDGE_FLOATS),
+           st.floats(allow_nan=False, allow_infinity=False))),
+       data=st.data(), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_sample_csv_reader_matches_the_row_path(table_dir, table, data,
+                                                newline):
+    rc, x, y = table
+    p, m = x.shape[1] - 2, y.shape[1]
+    lines = _reference_text(rc, x, y).split("\n")[:-1]
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(
+            ["field", "cell", "line", "blank", "pad", "shift"]))
+        if edit == "blank":
+            lines.insert(data.draw(st.integers(1, len(lines))),
+                         data.draw(st.sampled_from(["", " \t", "\x0b"])))
+            continue
+        if len(lines) < 2:
+            continue
+        at = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[at].split(",")
+        field = data.draw(st.integers(0, len(fields) - 1))
+        if edit == "field":
+            fields[field] = data.draw(_FIELD_TEXT)
+        elif edit == "cell":
+            fields[:2] = [data.draw(st.sampled_from(
+                ["-1", "0", "+7", "007", str(2**32 - 1), str(2**32),
+                 str(2**64)])) for _ in range(2)]
+        elif edit == "line":
+            fields = [data.draw(_FIELD_TEXT)]
+        elif edit == "pad":  # whitespace that strip skips
+            fields[field] += data.draw(_WHITESPACE)
+        else:  # the line's last field moves to the end of another line
+            moved = fields.pop()
+            other = data.draw(st.integers(1, len(lines) - 1))
+            if other != at:
+                lines[other] += "," + moved
+        lines[at] = ",".join(fields)
+    path = table_dir / "read.csv"
+    path.write_bytes(newline.join(lines + [""]).encode("utf-8"))
+    want = _row_path(path, p, m)
+    if isinstance(want, str):
+        with pytest.raises(dat.IngestionError) as err:
+            dat._read_samples_csv(path, p, m)
+        assert str(err.value) == want
+        return
+    # A file the row path reads is read a column at a time alone.
+    with mock.patch.object(dat, "read_csv", side_effect=AssertionError):
+        got = dat._read_samples_csv(path, p, m)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("space", ["\x0b", "\u2028", " ", "\x85"])
+def test_sample_line_with_inner_whitespace_loads_a_column_at_a_time(
+        tmp_path, space):
+    # Lines end at "\n" alone, as in text-mode iteration: splitlines would
+    # also end one at each of these whitespace characters, which int, float
+    # and strip skip (but not "\x1c", which int and float reject).
+    path = tmp_path / "train.csv"
+    path.write_text("row,col,cx,cy,y1\n"
+                    f"1{space},2,0.5{space},0.25,-1.0\n3,4,0.0,1.0,2.0\n",
+                    encoding="utf-8")
+    with mock.patch.object(dat, "read_csv", side_effect=AssertionError):
+        rc, x, y = dat._read_samples_csv(path, 0, 1)
+    assert rc.tolist() == [[1, 2], [3, 4]]
+    assert x.tolist() == [[0.5, 0.25], [0.0, 1.0]]
+    assert y.tolist() == [[-1.0], [2.0]]
+
+
+def test_sample_field_moved_to_another_line_names_the_line(tmp_path):
+    # Integer text reads as row, col and value alike, so only the count of
+    # fields on each line shows that a field moved.
+    path = tmp_path / "train.csv"
+    path.write_text("row,col,cx,cy,y1\n1,2,3,4\n5,6,7,8,9,5\n",
+                    encoding="utf-8")
+    with pytest.raises(dat.IngestionError,
+                       match="line 2: 4 fields, expected 5"):
+        dat._read_samples_csv(path, 0, 1)
+
+
+@pytest.mark.parametrize("cell, error", [
+    ("-1,2", "row outside"), ("1,4294967296", "col outside"),
+    ("18446744073709551616,2", "row outside")])
+def test_sample_cell_outside_u32_names_the_line(tmp_path, cell, error):
+    path = tmp_path / "train.csv"
+    path.write_text("row,col,cx,cy,y1\n1,2,0.5,0.5,1.0\n"
+                    f"{cell},0.5,0.5,1.0\n", encoding="utf-8")
+    with pytest.raises(dat.IngestionError, match=f"line 3: {error}"):
+        dat._read_samples_csv(path, 0, 1)
