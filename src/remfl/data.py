@@ -296,14 +296,13 @@ def save_grid_csv(grid: RadioMapGrid, path):
     ``load_grid`` returns, and so what a partition of the map is made of."""
     header = ["row", "col"] + [f"s{i+1}" for i in range(grid.n_bs)] \
         + [f"f{i+1}" for i in range(grid.n_features)]
-    rc = np.zeros((grid.width, 2), dtype=int)
-    rc[:, 1] = np.arange(grid.width)
+    cols = np.arange(grid.width)
 
     def blocks():  # a grid row at a time: the whole grid is millions of floats
         for r in range(grid.height):
-            rc[:, 0] = r
             values = np.vstack([grid.signals[:, r], grid.features[:, r]]).T
-            yield rc, values.astype("<f4").astype(float)
+            yield (np.column_stack([np.full_like(cols, r), cols]),
+                   values.astype("<f4").astype(float))
 
     _write_cell_csv(path, header, blocks())
 
