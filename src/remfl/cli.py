@@ -250,7 +250,7 @@ def _check_memory(partition, cfgs):
             f"client state, more than the {limit:,} bytes of physical memory; "
             f"it grows with the client grid (partition --clients), the model "
             f"(hidden1, hidden2, latent and head_hidden in --config) and the "
-            f"residuals of --rho below 1 or dense uploads of --mode fedavg")
+            f"residuals of --rho below 1")
 
 
 def _run_and_export(partition, cfg, outdir, scenario):
@@ -321,6 +321,11 @@ def cmd_sweep(args) -> int:
               dataclasses.replace(cfg0, sparsity=rho, sync_period=period,
                                   quantization=quant))
              for rho in rhos for period in periods for quant in quants]
+    labels = [label for label, _ in cells]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise UsageError(f"sweep: two grid cells share the label (and "
+                             f"run directory) {label}")
     partition = dat.load_partition(args.partition)
     _check_client_ids(partition, [cfg for _, cfg in cells])
     _check_memory(partition, [cfg for _, cfg in cells])

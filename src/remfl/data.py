@@ -62,6 +62,9 @@ class RadioMapGrid:
         return self.features.shape[0]
 
     def validate(self):
+        if self.width < 1 or self.height < 1:
+            raise IngestionError(
+                f"grid is {self.width}x{self.height}: no cells")
         for name, layers in (("signal", self.signals),
                              ("feature", self.features)):
             if layers.shape[1:] != (self.height, self.width):
@@ -616,15 +619,10 @@ def _read_samples_csv(path, n_features, n_bs):
     try:
         return _sample_columns(path, n_features, n_bs)
     except ValueError:
-        pass
-    width = 4 + n_features + n_bs
-    _, rows = read_csv(path, _sample_row, width)
-    table = np.array(rows, dtype=float).reshape(-1, width)
-    if not np.isfinite(table).all():
-        read_csv(path, _finite_row, width)  # raises, naming the first line
-    # Copies, so x and y are contiguous arrays rather than strided views.
-    return (table[:, :2].astype(int), table[:, 2:4 + n_features].copy(),
-            table[:, 4 + n_features:].copy())
+        width = 4 + n_features + n_bs
+        read_csv(path, _sample_row, width)
+        read_csv(path, _finite_row, width)
+        raise  # no line is bad: the column path's error stands
 
 
 def _read_samples(path, n_features, n_bs):

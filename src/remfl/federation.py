@@ -21,8 +21,8 @@ moments, step 0), and skipped for that round.  Heads leave a run as flat
 vectors, slices of the client stores.
 
 Clients train and evaluate in ``CLIENT_DTYPE`` (float32): their stores,
-Adam moments, residuals, data and work buffers, and the copies of the
-broadcast and of the EMA shadow they read.  The server keeps float64: the
+Adam moments, residuals, data and work buffers, and the model vector they
+read (the broadcast, or the EMA shadow).  The server keeps float64: the
 global model, the aggregate, the EMA shadow and the metrics.  A client's
 delta is taken against the float32 broadcast it resynced to, so a client
 that takes no step sends an exactly zero delta.
@@ -35,11 +35,12 @@ state and Adam step, and returns the new state and step with its outcome;
 the parent's copy of those two is authoritative.  An upload leaves its
 worker in the form the wire carries: a QUP1 payload or a Top-K pair of
 indices and float32 values returns with the outcome, and the server decodes
-and sums it at its indices, without a dense copy.  Only a dense float32
-upload is written to a shared result slot, one float32 row per participant,
-which exists only when the uploads are dense.  The broadcast of a sync round
-and the float32 copy of the EMA shadow that evaluation reads are shared
-too; an evaluation task returns its clients' de-normalized test residuals.
+and sums it at its indices, without a dense copy.  A dense float32 upload
+does not leave: the worker checks and counts it, and the server takes it
+from the client's store minus the broadcast, the worker's own float32
+subtraction.  One shared float32 model vector holds a sync round's
+broadcast while its clients train and the EMA shadow while the test passes
+run; an evaluation task returns its clients' de-normalized test residuals.
 The server takes the uploads, and logs the skips, in participant order, so
 the worker count changes no output.  At one worker the same tasks run in
 the calling process and nothing is forked.
@@ -214,12 +215,13 @@ def aggregate(flat_global, updates) -> np.ndarray:
 
     Each upload is in a wire form of ``compression.transmit``: a QUP1
     payload, decoded here; an (indices, values) pair, indices distinct; or
-    a dense vector.  ``updates`` is read once, in order, so a generator
-    lets the server hold one upload at a time.  The uploads are added, in
-    order, to float64 zeros, an indexed one at its indices only, and the
-    sum is divided once.  That is how np.mean reduces a stack of their
-    dense float64 forms, so the bits are its bits, signed zeros included,
-    without the stack or a dense copy of any upload.
+    a dense vector.  ``updates`` is read once, in order: the round loop
+    passes a generator, so the server holds one upload at a time, and its
+    dense deltas share one buffer, each added before the next is written.
+    The uploads are added, in order, to float64 zeros, an indexed one at
+    its indices only, and the sum is divided once.  That is how np.mean
+    reduces a stack of their dense float64 forms, so the bits are its bits,
+    signed zeros included, without the stack or a dense copy of any upload.
     """
     total, n = np.zeros(flat_global.size), 0
     for update in updates:
@@ -274,23 +276,17 @@ def _upload_len(cfg: RunConfig, dims) -> int:
         0 if cfg.split_head else nn.head_size(dims))
 
 
-def _dense_uploads(cfg: RunConfig) -> bool:
-    """Whether uploads go whole in float32: no Top-K, no quantization."""
-    return cfg.sparsity == 1.0 and not cfg.quantization
-
-
 def shared_bytes(partition, cfg: RunConfig) -> int:
     """Bytes of the shared mappings a run of ``cfg`` on ``partition`` makes
     before it trains: the client stores and both Adam moments, the
-    residuals at ``sparsity`` < 1, the result slots of dense uploads, and
-    the broadcast and the evaluation copy of the EMA shadow."""
+    residuals at ``sparsity`` < 1, and the one model vector of the
+    broadcast and the EMA shadow."""
     dims = _model_dims(partition, cfg)
     clients = len(partition.clients)
     upload = _upload_len(cfg, dims)
-    rows = (cfg.sparsity < 1.0) + _dense_uploads(cfg)
     return np.dtype(CLIENT_DTYPE).itemsize * (
         3 * clients * (nn.backbone_size(dims) + nn.head_size(dims))
-        + (rows * clients + 2) * upload)
+        + ((cfg.sparsity < 1.0) * clients + 1) * upload)
 
 
 def _client_data(ds: dat.ClientDataset) -> dat.ClientDataset:
@@ -383,37 +379,38 @@ def local_train(state: ClientState, cfg: RunConfig, dims: nn.ModelDims,
 @dataclass
 class _Run:
     """What a run's tasks read.  The parent makes it before the workers
-    fork, so each inherits it; its arrays are on shared mappings."""
+    fork, so each inherits it; its arrays are on shared mappings.
+
+    ``model`` holds, in ``CLIENT_DTYPE``, a sync round's broadcast while
+    that round's clients train and the server reads their dense deltas, and
+    the EMA shadow while the test passes run.  The phases never overlap:
+    every task of one has returned before the other writes ``model``."""
 
     cfg: RunConfig
     dims: nn.ModelDims
     states: list
     upload_len: int
     k: int
-    start: np.ndarray  # a sync round's broadcast, in CLIENT_DTYPE
-    # Dense float32 uploads, row j for participant j; None unless the
-    # uploads are dense (no Top-K, no quantization), since the indexed
-    # forms return with their task's outcome.
-    slots: np.ndarray | None
-    model: np.ndarray  # the EMA shadow in CLIENT_DTYPE, for evaluation
-    ranges: list       # (first, end) clients of each evaluation task
+    model: np.ndarray
+    ranges: list  # (first, end) clients of each evaluation task
     buffers: tuple | None = None  # this process's own; see _train_task
 
 
 _run: _Run | None = None  # the run in progress, as each process sees it
 
 
-def _train_task(i, t, sync, slot, rng_state, step):
+def _train_task(i, t, sync, rng_state, step):
     """Train client ``i`` in round ``t``, starting from the RNG state and
     Adam step the parent holds; at a ``sync`` round, resync it to the
-    broadcast first and upload after.
+    broadcast (``_Run.model``) first and upload after.
 
     Returns (outcome, RNG state, Adam step).  The outcome is (wire form,
     bytes, nnz) at a sync round, else None, or the exception that skipped
     the client after rolling it back.  The wire form is a QUP1 payload or
-    Top-K (indices, values) pair as ``compression.transmit`` returns it; a
-    dense upload is written to result slot ``slot`` instead, and its wire
-    form is None.
+    Top-K (indices, values) pair as ``compression.transmit`` returns it.  A
+    dense upload goes through ``transmit`` too, for its float32 check and
+    byte count, but its wire form is None: the server subtracts the
+    broadcast from the client's store itself.
     """
     run, n = _run, _run.upload_len
     st = run.states[i]
@@ -431,20 +428,20 @@ def _train_task(i, t, sync, slot, rng_state, step):
     grad, scratch, saved = run.buffers
     kept = st.params
     if sync:
-        st.params[:n] = run.start
+        st.params[:n] = run.model
         kept = st.params[n:]
     saved[:kept.size] = kept
     outcome = None
     try:
         local_train(st, run.cfg, run.dims, grad, scratch)
         if sync:
-            delta = np.subtract(st.params[:n], run.start, out=grad[:n])
+            delta = np.subtract(st.params[:n], run.model, out=grad[:n])
             wire, residual, n_bytes, nnz = comp.transmit(
                 delta, st.residual, run.k, run.cfg.quantization,
                 st.client_id, t)
     except (TrainingDiverged, comp.UnencodableUpdate) as exc:
         if sync:
-            st.params[:n] = run.start
+            st.params[:n] = run.model
         kept[:] = saved[:kept.size]
         st.adam.m[:] = 0.0
         st.adam.v[:] = 0.0
@@ -452,18 +449,16 @@ def _train_task(i, t, sync, slot, rng_state, step):
         outcome = exc
     else:
         if sync:
-            if isinstance(wire, np.ndarray):
-                run.slots[slot] = wire
-                wire = None
             if residual is not None:
                 st.residual[:] = residual
-            outcome = wire, n_bytes, nnz
+            outcome = (None if isinstance(wire, np.ndarray) else wire,
+                       n_bytes, nnz)
     return outcome, st.rng.bit_generator.state, st.adam.step
 
 
 def _evaluate_task(bounds):
     """Test passes of clients ``first`` to ``end`` - 1 (``bounds``) on the
-    shared copy of the EMA shadow.  Returns their residuals in client order,
+    EMA shadow in ``_Run.model``.  Returns their residuals in client order,
     each scaled by the client's label std in float64."""
     run, (first, end) = _run, bounds
     lb = nn.backbone_size(run.dims)
@@ -483,9 +478,9 @@ def evaluate(run: _Run, shadow, map=map) -> met.MetricBundle:
     """Every client's test pass on ``shadow``, with one head per client,
     denormalized to dB.
 
-    The passes read one ``CLIENT_DTYPE`` copy of ``shadow``.  ``map`` runs
-    the tasks, a range of clients each: the worker pool's, or the builtin
-    at one worker.  The residuals reach ``metrics.bundle`` in client order.
+    The passes read ``shadow`` as ``run.model`` holds it, in
+    ``CLIENT_DTYPE``.  ``map`` runs the tasks, a range of clients each: the
+    worker pool's, or the builtin at one worker.  The residuals reach ``metrics.bundle`` in client order.
     """
     run.model[:] = shadow
     return met.bundle([r for task in map(_evaluate_task, run.ranges)
@@ -584,14 +579,10 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
     states = _client_states(partition, cfg, dims, global_flat)
     workers = _workers()
     rows = np.cumsum([0] + [st.dataset.y_test.shape[0] for st in states])
-    # A round writes the slots of its participants only; the pages of the
-    # others are never touched.
     run = _Run(cfg, dims, states, upload_len, k,
-               start=_shared(CLIENT_DTYPE, upload_len),
-               slots=(_shared(CLIENT_DTYPE, len(states), upload_len)
-                      if _dense_uploads(cfg) else None),
                model=_shared(CLIENT_DTYPE, upload_len),
                ranges=_ranges(rows, 2 * workers))
+    delta = np.empty(upload_len, CLIENT_DTYPE)  # each dense upload in turn
 
     shadow = global_flat.copy()
     cum_bytes = 0
@@ -613,22 +604,20 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
                                           rngs["sample"]).tolist()
             sync = t % cfg.sync_period == 0
             if sync:
-                run.start[:] = global_flat
+                run.model[:] = global_flat
             # Largest clients first, so that no worker is left alone with a
-            # large one at the end of the round.  Each writes the result
-            # slot of its place among the participants, and the server reads
-            # the outcomes in participant order.
-            slots = sorted(range(len(participants)), key=lambda j: -states[
-                participants[j]].dataset.n_train)
-            first = [participants[j] for j in slots]
+            # large one at the end of the round; the server reads the
+            # outcomes in participant order.
+            first = sorted(participants,
+                           key=lambda i: -states[i].dataset.n_train)
             where = f"round {t}: the training of clients {first}"
-            outcomes = dict(zip(slots, tasks(
-                _train_task, first, repeat(t), repeat(sync), slots,
+            outcomes = dict(zip(first, tasks(
+                _train_task, first, repeat(t), repeat(sync),
                 [states[i].rng.bit_generator.state for i in first],
                 [states[i].adam.step for i in first])))
-            updates = []
-            for slot, i in enumerate(participants):
-                outcome, rng_state, step = outcomes[slot]
+            sent = []  # (client, wire form) of each upload
+            for i in participants:
+                outcome, rng_state, step = outcomes[i]
                 states[i].rng.bit_generator.state = rng_state
                 states[i].adam.step = step
                 if isinstance(outcome, Exception):
@@ -639,8 +628,11 @@ def run_training(partition, cfg: RunConfig) -> RunResult:
                     cum_bytes += n_bytes
                     nnz_total += nnz
                     n_payloads += 1
-                    updates.append(run.slots[slot] if wire is None else wire)
-            global_flat = aggregate(global_flat, updates)
+                    sent.append((i, wire))
+            global_flat = aggregate(global_flat, (
+                np.subtract(states[i].params[:upload_len], run.model,
+                            out=delta) if wire is None else wire
+                for i, wire in sent))
             shadow = ema_update(shadow, global_flat, cfg.ema_beta)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             where = f"round {t}: {testing}"

@@ -411,11 +411,6 @@ class AdamState:
     step: int = 0
 
 
-def adam_init(n: int, dtype=np.float64) -> AdamState:
-    """Zero moments for ``n`` parameters of ``dtype``, at step 0."""
-    return AdamState(np.zeros(n, dtype), np.zeros(n, dtype), 0)
-
-
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
               lr=1e-3, scratch=None):
     """One bias-corrected Adam update, in place: ``params``, ``state.m`` and

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import platform
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_partition_missing_map_is_data_error(tmp_path, capsys):
                    "--scenario", "light", "-o", str(tmp_path / "out")])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [(0, 0, 4, 0), (3, 0, 4, 1)],
+                         ids=["0x0", "3x0"])
+def test_partition_of_a_grid_with_no_cells_is_data_error(tmp_path, capsys,
+                                                         header):
+    path = tmp_path / "empty.remg"
+    path.write_bytes(dat.GRID_MAGIC + struct.pack("<IIII", *header))
+    rc = cli.main(["partition", str(path), "--scenario", "light",
+                   "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "no cells" in err
 
 
 def test_partition_bad_clients_spec(workspace, tmp_path):
@@ -439,8 +453,8 @@ def test_train_unquantizable_updates_are_skipped(workspace, tmp_path, caplog,
     assert sorted(r.args[0] for r in skipped) == [0] * 4 + [1] * 4
 
 
-# command -> (its flags, the train flags of its largest run): fedavg's
-# dense uploads, and a sweep whose second cell holds Top-K residuals.
+# command -> (its flags, the train flags of its largest run): a fedavg
+# run, and a sweep whose second cell holds Top-K residuals.
 _RUNS = {"train": (["--mode", "fedavg"], ["--mode", "fedavg"]),
          "sweep": (["--rho-grid", "1,0.5"], ["--rho", "0.5"])}
 
@@ -461,7 +475,7 @@ def test_run_that_cannot_fit_is_refused_before_it_allocates(
     assert cli.main([command, *base, *flags, "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"need {need:,} bytes" in err and f"the {need - 1:,} bytes" in err
-    for flag in ("--clients", "latent", "--rho", "--mode fedavg"):
+    for flag in ("--clients", "latent", "--rho"):
         assert flag in err
     assert not out.exists()
     monkeypatch.undo()
@@ -555,6 +569,22 @@ def test_sweep_refuses_fedavg_before_reading_data(tmp_path, capsys):
     assert "usage error" in err and "--mode fedavg" in err
     assert not (tmp_path / "r").exists()
 
+
+
+# Labels print each value with {:g} and quantization as on/off, so two
+# values can share one; the defaults are rho 0.01, R 5 and quantization on.
+@pytest.mark.parametrize("flag, grid, label", [
+    ("--rho-grid", "0.01,0.01000001", "rho0.01_R5_qon"),
+    ("--period-grid", "2,02", "rho0.01_R2_qon"),
+    ("--quant-grid", "on,1", "rho0.01_R5_qon")], ids=["rho", "period", "quant"])
+def test_sweep_refuses_cells_that_share_a_label(tmp_path, capsys, flag, grid,
+                                                label):
+    rc = cli.main(["sweep", "--partition", str(tmp_path / "none"), flag, grid,
+                   "-o", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"run directory) {label}" in err
+    assert not (tmp_path / "r").exists()
 
 def test_written_tables_hold_no_numpy_scalar_reprs(workspace, tmp_path):
     out = tmp_path / "sweep"

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import shutil
+import struct
 from unittest import mock
 
 import numpy as np
@@ -141,6 +142,23 @@ def test_bad_magic_is_ingestion_error(tmp_path):
     path.write_bytes(b"NOPE!" + b"\x00" * 64)
     with pytest.raises(dat.IngestionError):
         dat.load_grid(path)
+
+
+# REMG1 headers (w, h, M, P) of grids with no cells: 21-byte files whose
+# size matches the header.
+@pytest.mark.parametrize("header", [(0, 0, 4, 0), (3, 0, 4, 1)],
+                         ids=["0x0", "3x0"])
+def test_grid_with_no_cells_is_ingestion_error(tmp_path, header):
+    path = tmp_path / "empty.remg"
+    path.write_bytes(dat.GRID_MAGIC + struct.pack("<IIII", *header))
+    assert path.stat().st_size == 21
+    with pytest.raises(dat.IngestionError, match="no cells"):
+        dat.load_grid(path)
+    w, h, m, p = header
+    grid = dat.RadioMapGrid(w, h, np.zeros((m, h, w)), np.zeros((p, h, w)))
+    with pytest.raises(dat.IngestionError, match="no cells"):
+        dat.save_grid(grid, tmp_path / "saved.remg")
+    assert not (tmp_path / "saved.remg").exists()
 
 
 def test_csv_roundtrip(tmp_path):

@@ -351,8 +351,8 @@ def _scatter(index, values, length):
 
 
 # Every wire form the server sums: dense float64 (the reference), the dense
-# float32 of a result slot, Top-K (indices, float32 values) and QUP1.  Small
-# lengths make uploads share indices.
+# float32 delta of a client's store, Top-K (indices, float32 values) and
+# QUP1.  Small lengths make uploads share indices.
 @settings(max_examples=40)
 @given(data=st.data(), length=st.integers(1, 12), n=st.integers(0, 9),
        form=st.sampled_from(["dense-float64", "dense-float32",
@@ -682,43 +682,69 @@ def test_worker_count_changes_no_output(small_partition, monkeypatch, kw):
     assert runs[1:] == runs[:1] * 3
 
 
-# Each upload form with whether it returns through a result slot: QUP1
-# payloads and Top-K pairs return with their task's outcome.
-UPLOAD_FORMS = {"qup1": (dict(), False),
-                "topk-float32": (dict(quantization=False), False),
-                "dense-float32": (dict(sparsity=1.0, quantization=False),
-                                  True),
-                "fedavg": (dict(mode="fedavg"), True)}
+UPLOAD_FORMS = {"qup1": dict(), "topk-float32": dict(quantization=False),
+                "dense-float32": dict(sparsity=1.0, quantization=False),
+                "fedavg": dict(mode="fedavg")}
 
 
-@pytest.mark.parametrize("kw, dense", UPLOAD_FORMS.values(),
-                         ids=UPLOAD_FORMS.keys())
+@pytest.mark.parametrize("kw", UPLOAD_FORMS.values(), ids=UPLOAD_FORMS.keys())
 def test_result_slots_only_for_dense_uploads(small_partition, monkeypatch,
-                                             kw, dense):
-    runs, made = [], []
-    evaluate, shared = fed.evaluate, fed._shared
-
-    def recording_evaluate(run, *args):
-        runs.append(run)
-        return evaluate(run, *args)
+                                             kw):
+    """No upload form has result slots any more, dense ones included: a run
+    maps the client stores and Adam moments, the residuals at sparsity < 1,
+    and one model vector."""
+    made = []
+    shared = fed._shared
 
     def recording_shared(dtype, *shape):
-        made.append(np.dtype(dtype).itemsize * math.prod(shape))
+        made.append((np.dtype(dtype), shape))
         return shared(dtype, *shape)
 
-    monkeypatch.setattr(fed, "evaluate", recording_evaluate)
     monkeypatch.setattr(fed, "_shared", recording_shared)
     cfg = tiny_cfg(rounds=1, **kw)
     res = fed.run_training(small_partition, cfg)
-    assert res.final.n_payloads == len(small_partition.clients)
-    slots = runs[0].slots
-    if dense:
-        assert slots.dtype == fed.CLIENT_DTYPE
-        assert slots.shape == (len(small_partition.clients), res.upload_len)
-    else:
-        assert slots is None
+    n = len(small_partition.clients)
+    assert res.final.n_payloads == n
+    model = nn.backbone_size(res.dims) + nn.head_size(res.dims)
+    rows = [(n, model)] * 3 + [(n, res.upload_len)] * (cfg.sparsity < 1.0)
+    assert made == [(np.dtype(fed.CLIENT_DTYPE), shape)
+                    for shape in [*rows, (res.upload_len,)]]
     # The size check before a run counts exactly what the run maps.
-    assert sum(made) == fed.shared_bytes(small_partition, cfg)
+    assert sum(dtype.itemsize * math.prod(shape) for dtype, shape in made) \
+        == fed.shared_bytes(small_partition, cfg)
+
+
+def test_dense_uploads_are_the_stores_minus_the_broadcast(small_partition,
+                                                          monkeypatch):
+    # Client 1 diverges in round 0; the server sums the others' uploads,
+    # which it takes from their stores, through one reused buffer.
+    cfg = tiny_cfg(mode="fedavg", rounds=1)
+    pin_workers(monkeypatch, 2)
+    real_train, real_aggregate = fed.local_train, fed.aggregate
+    received, stores = [], []
+
+    def train(state, *args, **kwargs):
+        real_train(state, *args, **kwargs)
+        if state.client_id == 1:
+            raise fed.TrainingDiverged("client 1: injected")
+
+    def recording_aggregate(flat_global, updates):
+        run = fed._run
+        broadcast = flat_global.astype(fed.CLIENT_DTYPE)
+        assert np.array_equal(run.model, broadcast)
+        received.extend(np.array(u) for u in updates)  # copies: one buffer
+        stores.extend(st.params[:run.upload_len] - broadcast
+                      for st in run.states)
+        return real_aggregate(flat_global, received)
+
+    monkeypatch.setattr(fed, "local_train", train)
+    monkeypatch.setattr(fed, "aggregate", recording_aggregate)
+    res = fed.run_training(small_partition, cfg)
+    others = [i for i in range(len(small_partition.clients)) if i != 1]
+    assert len(received) == len(others) == res.final.n_payloads
+    for i, update in zip(others, received):
+        assert update.dtype == fed.CLIENT_DTYPE
+        assert np.array_equal(update, stores[i]) and update.any()
 
 
 def test_skips_are_logged_in_participant_order(small_partition, monkeypatch,

@@ -287,14 +287,14 @@ def test_zero_seed_gives_zero_gradients():
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradient_is_identity():
-    state = nn.adam_init(5)
+    state = nn.AdamState(np.zeros(5), np.zeros(5))
     p = RNG.normal(size=5)
     out = nn.adam_step(state, p, np.zeros(5), lr=0.1)
     assert np.array_equal(out, p)
 
 
 def test_adam_descends_quadratic():
-    state = nn.adam_init(1)
+    state = nn.AdamState(np.zeros(1), np.zeros(1))
     w = np.array([1.0])
     w2 = nn.adam_step(state, w, 2 * w, lr=0.1)
     assert 0 < w2[0] < 1.0
@@ -303,7 +303,7 @@ def test_adam_descends_quadratic():
 def test_adam_deterministic():
     runs = []
     for _ in range(2):
-        state = nn.adam_init(4)
+        state = nn.AdamState(np.zeros(4), np.zeros(4))
         p = np.ones(4)
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -361,7 +361,7 @@ def test_adam_in_place_matches_reference_bitwise():
     for dtype in (np.float64, np.float32):
         rng = np.random.default_rng(11)
         n = 2 * nn.ADAM_BLOCK + 257  # two whole blocks and a remainder
-        state = nn.adam_init(n, dtype)
+        state = nn.AdamState(np.zeros(n, dtype), np.zeros(n, dtype))
         m0, v0 = state.m, state.v
         p = rng.normal(size=n).astype(dtype)
         ref_m, ref_v, ref_p = np.zeros(n, dtype), np.zeros(n, dtype), p.copy()
@@ -396,9 +396,9 @@ def test_adam_float32_overflow_is_non_finite_not_an_error():
     # lr=1e300 does not fit in float32; the caller's finite check, not a
     # floating-point error, has to see that.
     p = np.ones(4, np.float32)
+    state = nn.AdamState(np.zeros(4, np.float32), np.zeros(4, np.float32))
     with np.errstate(all="raise"):
-        nn.adam_step(nn.adam_init(4, np.float32), p, np.ones(4, np.float32),
-                     lr=1e300)
+        nn.adam_step(state, p, np.ones(4, np.float32), lr=1e300)
     assert not np.isfinite(p).any()
 
 
