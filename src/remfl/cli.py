@@ -19,7 +19,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import compression as comp
 from . import data as dat
@@ -124,7 +123,9 @@ def cmd_gen_data(args) -> int:
         ("--size", size >= 1, ">= 1"),
         ("--seed", args.seed >= 0, ">= 0"),
         ("--bs", args.bs >= 1, ">= 1"),
-        ("--features", args.features >= 0, ">= 0"),
+        ("--features", 0 <= args.features <= dat.FILLED_FEATURES,
+         f"in [0, {dat.FILLED_FEATURES}]: only {dat.FILLED_FEATURES} "
+         f"feature layers carry signal"),
         ("--shadowing", 0.0 <= args.shadowing < math.inf,
          "finite and >= 0"),
         ("--obstacle-density", 0.0 <= args.obstacle_density <= 1.0,
@@ -253,6 +254,16 @@ def _check_memory(partition, cfgs):
             f"residuals of --rho below 1")
 
 
+def _installed_version(package):
+    """The installed version of ``package``, read without importing it, or
+    ``absent``: remfl runs on numpy alone."""
+    import importlib.metadata  # about 13 ms; only a manifest needs it
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return "absent"
+
+
 def _run_and_export(partition, cfg, outdir, scenario):
     os.makedirs(outdir, exist_ok=True)
     result = fed.run_training(partition, cfg)
@@ -262,7 +273,7 @@ def _run_and_export(partition, cfg, outdir, scenario):
         ("scenario", scenario), ("workers", result.workers),
         ("blas_threads", "unset" if blas is None else "%s=%d" % blas),
         ("python", platform.python_version()), ("numpy", np.__version__),
-        ("scipy", scipy.__version__)])
+        ("scipy", _installed_version("scipy"))])
     _save_models(result, outdir)
     return result
 
@@ -426,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, help="square grid side (default 256)")
     p.add_argument("--bs", type=int, default=4, help="number of base stations")
-    p.add_argument("--features", type=int, default=100)
+    p.add_argument("--features", type=int, default=dat.FILLED_FEATURES)
     p.add_argument("--obstacle-density", type=float, default=0.05)
     p.add_argument("--shadowing", type=float, default=6.0)
     p.add_argument("--path-loss-exp", type=float, default=3.0)

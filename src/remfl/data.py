@@ -8,9 +8,10 @@ which are then split into a spatial grid of virtual clients with per-client
 normalization (coords min-max to [0,1], labels z-scored with local stats).
 The synthetic map's Gaussian blur is numpy and reproduces
 ``scipy.ndimage.gaussian_filter`` (``reflect``, truncate 4) bit for bit.
-The synthetic map fills 8 feature layers (obstacle mask, distance to the
-nearest transmitter over the map diagonal, 6 blurred noise fields); any
-further layers are zero, and every sample row still carries them.
+The synthetic map fills ``FILLED_FEATURES`` = 8 feature layers (obstacle
+mask, distance to the nearest transmitter over the map diagonal, 6 blurred
+noise fields), and that is its default P.  A map may ask for more; the
+layers past the 8th are then zero, and every sample row still carries them.
 
 Sample tables are text: ``repr`` of each value, one cell per line.  They
 are written and read a column at a time, not a field at a time: a column of
@@ -126,13 +127,23 @@ class ScenarioPartition:
 # Synthetic map generation (stand-in for an external rasterized dataset).
 # ---------------------------------------------------------------------------
 
+_NOISE_FEATURE_CHANNELS = 6  # smoothed-noise feature layers
+# Feature layers generate_synthetic_map fills: obstacles, nearest-BS
+# distance and the noise fields.  Inputs past these are zero in every row,
+# so the first-layer weights on them never train.
+FILLED_FEATURES = 2 + _NOISE_FEATURE_CHANNELS
+
+
 @dataclass
 class SyntheticMapConfig:
+    """Settings of ``generate_synthetic_map``.  ``n_features`` defaults to
+    the ``FILLED_FEATURES`` layers the generator fills; any P >= 0 is
+    accepted, and layers past the 8th are zero."""
     seed: int = 0
     width: int = 256
     height: int = 256
     n_bs: int = 4
-    n_features: int = 100
+    n_features: int = FILLED_FEATURES
     tx_positions: list | None = None  # [(row, col), ...]; random when None
     obstacle_density: float = 0.05
     path_loss_exp: float = 3.0
@@ -143,7 +154,6 @@ _TX_POWER_DB = -30.0  # received power at the 0.5-cell reference distance
 _RAY_SAMPLES = 32  # points sampled along each BS-to-cell ray
 _SHADOW_CORR_CELLS = 8.0  # Gaussian smoothing width of the shadowing field
 _OBSTACLE_PENALTY_DB = 2.5  # per cell of ray length through obstacles
-_NOISE_FEATURE_CHANNELS = 6  # smoothed-noise feature layers
 
 
 def _blur_axis0(a, phi):

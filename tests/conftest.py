@@ -31,7 +31,9 @@ def small_partition(small_grid, small_field):
 
 @pytest.fixture(scope="session")
 def desk_grid():
-    """64x64 map with the full default M=4 / P=100 shape (desk preset)."""
+    """64x64 map with M=4 and P=100 (desk preset): the default P before it
+    became the 8 layers the generator fills, kept so that criteria 5-11
+    keep their data."""
     cfg = dat.SyntheticMapConfig(seed=11, width=64, height=64, n_bs=4,
                                  n_features=100)
     return dat.generate_synthetic_map(cfg)

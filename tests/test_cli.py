@@ -65,6 +65,39 @@ def test_gen_data_tx_outside_grid_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.remg").exists()
 
 
+@pytest.mark.parametrize("features", ["9", "100"])
+def test_gen_data_refuses_feature_layers_without_signal(tmp_path, capsys,
+                                                        features):
+    out = tmp_path / "x.remg"
+    rc = cli.main(["gen-data", "--size", "8", "--features", features,
+                   "-o", str(out), "--csv", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--features" in err and "only 8 feature layers carry signal" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], 8), (["--features", "0"], 0), (["--features", "8"], 8),
+], ids=["default", "0", "8"])
+def test_gen_data_feature_count(tmp_path, capsys, flags, want):
+    out = tmp_path / "x.remg"
+    assert cli.main(["gen-data", "--size", "8", *flags, "-o", str(out)]) == 0
+    assert dat.load_grid(out).n_features == want
+    assert f"P={want}" in capsys.readouterr().out
+
+
+def test_gen_data_and_the_library_share_one_feature_default():
+    args = cli.build_parser().parse_args(["gen-data", "-o", "x.remg"])
+    assert args.features == dat.SyntheticMapConfig().n_features \
+        == dat.FILLED_FEATURES
+
+
+def test_manifest_version_of_a_missing_package_is_absent():
+    assert cli._installed_version("remfl-no-such-package") == "absent"
+    assert cli._installed_version("numpy") == np.__version__
+
+
 def test_gen_data_desk_preset_size(tmp_path):
     out = tmp_path / "desk.remg"
     assert cli.main(["gen-data", "--preset", "desk", "--features", "5",

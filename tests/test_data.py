@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -43,6 +44,19 @@ def test_generation_deterministic():
                                                           height=16, n_features=6))
     assert np.array_equal(a.signals, b.signals)
     assert np.array_equal(a.features, b.features)
+
+
+def test_every_default_feature_layer_carries_signal():
+    # The default P counts the layers the generator fills: each has a
+    # nonzero value, and one layer more is zero everywhere.
+    cfg = dat.SyntheticMapConfig(seed=7, width=32, height=32)
+    grid = dat.generate_synthetic_map(cfg)
+    assert grid.n_features == 8
+    assert grid.features.reshape(grid.n_features, -1).any(axis=1).all()
+    more = dat.generate_synthetic_map(
+        dataclasses.replace(cfg, n_features=cfg.n_features + 1))
+    assert np.array_equal(more.features[:-1], grid.features)
+    assert not more.features[-1].any()
 
 
 def test_transmitter_outside_grid_rejected():

@@ -189,6 +189,46 @@ def test_zero_local_steps_gives_zero_payload(small_partition):
     assert res.final.cum_bytes == comp.HEADER_BYTES * len(small_partition.clients)
 
 
+@pytest.mark.parametrize("mode", ["pfl", "fedavg"])
+def test_weights_on_zero_feature_layers_never_train(monkeypatch, mode):
+    # Why the maps default to the layers the generator fills: at P = 100,
+    # inputs f9..f100 are zero in every row, so their first-layer weights
+    # get zero gradients and zero Adam moments, and Top-K and the dense
+    # uploads carry them at their initial values.
+    grid = dat.generate_synthetic_map(dat.SyntheticMapConfig(
+        seed=7, width=32, height=32, n_features=100))
+    part = dat.grid_partition(grid, dat.heterogeneity(grid), "heavy",
+                              rows=2, cols=2, seed=1)
+    pin_workers(monkeypatch, 1)
+    real_states = fed._client_states
+    seen = {}
+
+    def states(partition, cfg, dims, start):
+        seen["global"] = start.copy()
+        seen["states"] = real_states(partition, cfg, dims, start)
+        seen["stores"] = [st.params.copy() for st in seen["states"]]
+        return seen["states"]
+
+    monkeypatch.setattr(fed, "_client_states", states)
+    res = fed.run_training(part, tiny_cfg(mode=mode, rounds=2, sync_period=1))
+    lb = nn.backbone_size(res.dims)
+    dead = slice(2 + dat.FILLED_FEATURES, None)  # the columns of f9..f100
+
+    def w1(flat):
+        return nn.backbone_view(flat[:lb], res.dims).weights[0]
+
+    def dead_bits(flat):
+        return w1(flat)[:, dead].tobytes()
+
+    assert dead_bits(res.global_flat) == dead_bits(seen["global"])
+    assert not np.array_equal(w1(res.global_flat), w1(seen["global"]))
+    for st, start in zip(seen["states"], seen["stores"]):
+        assert dead_bits(st.params) == dead_bits(start)
+        assert not w1(st.adam.m)[:, dead].any()
+        assert not w1(st.adam.v)[:, dead].any()
+        assert w1(st.adam.v).any()
+
+
 def test_training_deterministic(small_partition):
     a = fed.run_training(small_partition, tiny_cfg(rounds=3))
     b = fed.run_training(small_partition, tiny_cfg(rounds=3))
