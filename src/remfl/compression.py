@@ -137,8 +137,16 @@ def quantize(sparse: np.ndarray, client_id: int = 0, round_no: int = 0) -> Quant
                            int(sparse.size), client_id, round_no)
 
 
+def _check_entries(q: QuantizedUpdate):
+    """CodecError unless ``q`` holds one qvalue per index."""
+    if q.qvalues.shape != q.indices.shape:
+        raise CodecError(
+            f"{q.qvalues.size} qvalues for {q.indices.size} indices")
+
+
 def dequantize(q: QuantizedUpdate) -> np.ndarray:
     """Reconstruct the dense flat vector (qvalue * scale at listed indices)."""
+    _check_entries(q)
     if q.indices.size and int(q.indices.max()) >= q.length:
         raise CodecError("index beyond vector length")
     out = np.zeros(q.length)
@@ -149,6 +157,7 @@ def dequantize(q: QuantizedUpdate) -> np.ndarray:
 def encode(q: QuantizedUpdate) -> bytes:
     if not 0 <= q.client_id <= MAX_CLIENT_ID:
         raise CodecError(f"client id {q.client_id} does not fit in one byte")
+    _check_entries(q)
     header = _HEADER.pack(MAGIC, q.round, q.client_id, q.length,
                           q.scale, q.nnz)
     entries = np.empty(q.nnz, dtype=_ENTRY_DTYPE)

@@ -304,6 +304,15 @@ def test_encode_rejects_wide_client_id():
         comp.encode(q)
 
 
+def test_encode_and_dequantize_refuse_one_qvalue_for_three_indices():
+    # Encoded, it would read as the valid-looking entries [5, 5, 5].
+    q = comp.QuantizedUpdate(np.array([1, 2, 3], dtype=np.uint32),
+                             np.array([5], dtype=np.int8), 1.0, 5, 0, 0)
+    for codec in (comp.encode, comp.dequantize):
+        with pytest.raises(comp.CodecError, match="1 qvalues for 3 indices"):
+            codec(q)
+
+
 # ---------------------------------------------------------------------------
 # transmit: one client's whole uplink
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import mmap
 import multiprocessing
 import os
 import select
@@ -102,6 +103,36 @@ def test_aggregate_index_beyond_length():
     for update in (beyond, payload):
         with pytest.raises(fed.AggregationError):
             fed.aggregate(np.zeros(3), [np.zeros(3), update])
+
+
+# Malformed (indices, values) uploads: each would be summed wrongly, not
+# refused, if the server took it as it came.
+@pytest.mark.parametrize("index, values, match", [
+    ([-1], [1.0], "outside model length"),  # would wrap to entry 4
+    ([5], [1.0], "outside model length"),
+    ([2, 2], [1.0, 1.0], "strictly increasing"),  # would add one of two
+    ([3, 1], [1.0, 1.0], "strictly increasing"),
+    (np.array([3, 1], np.uint32), [1.0, 1.0], "strictly increasing"),
+    ([1, 2], [1.0], "1 update values for 2 indices"),  # would broadcast
+    ([1.0], [1.0], "integers"),
+    ([[1]], [[1.0]], "integers"),
+], ids=["negative", "beyond", "duplicate", "decreasing",
+        "decreasing-unsigned", "one-value-two-indices", "float-index",
+        "matrix-index"])
+def test_aggregate_refuses_malformed_indexed_uploads(index, values, match):
+    with pytest.raises(fed.AggregationError, match=match):
+        fed.aggregate(np.zeros(5), [(np.asarray(index), np.asarray(values))])
+
+
+def test_ema_scratch_writes_shadow_with_the_same_bits():
+    rng = np.random.default_rng(3)
+    theta = np.concatenate([rng.normal(size=64), [0.0, -0.0, -0.0, 0.0]])
+    for beta in (0.0, 0.5, 0.99, 1.0):
+        shadow = np.concatenate([rng.normal(size=64), [-0.0, 0.0, -0.0, 0.0]])
+        expect = fed.ema_update(shadow, theta, beta)
+        got = fed.ema_update(shadow, theta, beta, np.empty_like(shadow))
+        assert got is shadow
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_ema_extremes():
@@ -209,7 +240,15 @@ def test_weights_on_zero_feature_layers_never_train(monkeypatch, mode):
         seen["stores"] = [st.params.copy() for st in seen["states"]]
         return seen["states"]
 
+    real_release = fed._release
+
+    def release(rows, end):
+        # The stores as training left them, before their backbones go.
+        seen["final"] = [row.copy() for row in rows]
+        real_release(rows, end)
+
     monkeypatch.setattr(fed, "_client_states", states)
+    monkeypatch.setattr(fed, "_release", release)
     res = fed.run_training(part, tiny_cfg(mode=mode, rounds=2, sync_period=1))
     lb = nn.backbone_size(res.dims)
     dead = slice(2 + dat.FILLED_FEATURES, None)  # the columns of f9..f100
@@ -222,8 +261,9 @@ def test_weights_on_zero_feature_layers_never_train(monkeypatch, mode):
 
     assert dead_bits(res.global_flat) == dead_bits(seen["global"])
     assert not np.array_equal(w1(res.global_flat), w1(seen["global"]))
-    for st, start in zip(seen["states"], seen["stores"]):
-        assert dead_bits(st.params) == dead_bits(start)
+    finals = seen.get("final", [st.params for st in seen["states"]])
+    for st, start, final in zip(seen["states"], seen["stores"], finals):
+        assert dead_bits(final) == dead_bits(start)
         assert not w1(st.adam.m)[:, dead].any()
         assert not w1(st.adam.v)[:, dead].any()
         assert w1(st.adam.v).any()
@@ -939,3 +979,115 @@ def test_workers_without_affinity_use_cpu_count(monkeypatch):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert fed._workers() == 3
+
+
+# ---------------------------------------------------------------------------
+# end of a run: the backbones' pages go back before the heads are copied
+# ---------------------------------------------------------------------------
+
+# Stores of 4,884 entries (19,536 bytes: rows start mid-page, and each
+# backbone spans whole pages) and of 192 (768 bytes: smaller than a page).
+MID_PAGE_ARCH = dict(hidden1=32, hidden2=32, latent=64, head_hidden=16)
+SUB_PAGE_ARCH = dict(hidden1=4, hidden2=4, latent=8, head_hidden=4)
+
+
+def _record_release(monkeypatch):
+    """Wrap ``fed._release``: each call appends (rows, end, the rows'
+    copies before it, RssShmem in kB before and after it)."""
+    real_release, calls = fed._release, []
+
+    def release(rows, end):
+        before, shmem = [row.copy() for row in rows], _rss_shmem_kb()
+        real_release(rows, end)
+        calls.append((rows, end, before, shmem, _rss_shmem_kb()))
+
+    monkeypatch.setattr(fed, "_release", release)
+    return calls
+
+
+def _rss_shmem_kb():
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _whole_pages(rows, end):
+    """Per row, the (first, end) entries of the whole pages among its first
+    ``end`` entries; an empty range where there is none."""
+    matrix = rows[0]
+    while isinstance(matrix.base, np.ndarray):
+        matrix = matrix.base
+    page, size = mmap.PAGESIZE, rows[0].itemsize
+    spans = []
+    for row in rows:
+        first = row.ctypes.data - matrix.ctypes.data
+        lo = -(-first // page) * page
+        hi = max(lo, (first + end * size) // page * page)
+        spans.append(((lo - first) // size, (hi - first) // size))
+    return spans
+
+
+@pytest.mark.parametrize("arch, freed", [(MID_PAGE_ARCH, True),
+                                         (SUB_PAGE_ARCH, False)],
+                         ids=["mid-page", "sub-page"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_heads_are_the_stores_heads_before_the_release(
+        small_partition, monkeypatch, arch, freed, workers):
+    pin_workers(monkeypatch, workers)
+    calls = _record_release(monkeypatch)
+    res = fed.run_training(small_partition, tiny_cfg(rounds=2, **arch))
+    [(rows, end, before, _, _)] = calls
+    lb = nn.backbone_size(res.dims)
+    assert end == lb and len(res.heads) == len(rows) == 4
+    for head, row, old, (lo, hi) in zip(res.heads, rows, before,
+                                        _whole_pages(rows, lb)):
+        assert head.tobytes() == old[lb:].tobytes()
+        assert row[lb:].tobytes() == old[lb:].tobytes()
+        # Whole pages of the backbone read as zeros; the rest is kept.
+        assert not row[lo:hi].any()
+        kept = np.ones(row.size, bool)
+        kept[lo:hi] = False
+        assert row[kept].tobytes() == old[kept].tobytes()
+        assert (hi > lo) == freed
+
+
+def test_shared_head_runs_release_nothing(small_partition, monkeypatch):
+    calls = _record_release(monkeypatch)
+    res = fed.run_training(small_partition, tiny_cfg(mode="fedavg", rounds=1))
+    assert calls == [] and len(res.heads) == 1
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_REMOVE")
+                    or _rss_shmem_kb() is None,
+                    reason="needs MADV_REMOVE and /proc/self/status")
+def test_release_frees_the_backbones_pages_at_desk_dims(small_partition,
+                                                        monkeypatch):
+    # The default architecture: 202,240 backbone entries per client.
+    pin_workers(monkeypatch, 1)
+    calls = _record_release(monkeypatch)
+    cfg = fed.RunConfig(rounds=1, local_epochs=1, seed=1)
+    fed.run_training(small_partition, cfg)
+    [(rows, end, before, shmem_before, shmem_after)] = calls
+    freed_kb = 0
+    for row, old, (lo, hi) in zip(rows, before, _whole_pages(rows, end)):
+        assert old[lo:hi].all() and not row[lo:hi].any()
+        freed_kb += (hi - lo) * row.itemsize // 1024
+    assert freed_kb > 3000  # 4 clients, about 790 kB each
+    assert shmem_before - shmem_after >= 0.9 * freed_kb
+
+
+def test_run_without_madv_remove_gives_the_same_result(small_partition,
+                                                       monkeypatch):
+    cfg = tiny_cfg(rounds=3, **MID_PAGE_ARCH)
+    released = _outputs(fed.run_training(small_partition, cfg))
+    calls = _record_release(monkeypatch)
+    monkeypatch.delattr(mmap, "MADV_REMOVE", raising=False)
+    kept = _outputs(fed.run_training(small_partition, cfg))
+    assert kept == released
+    [(rows, _, before, _, _)] = calls
+    assert [row.tobytes() for row in rows] == [b.tobytes() for b in before]
